@@ -193,7 +193,7 @@ class ZMod(Ambient):
 
     def __init__(self, n: int):
         super().__init__()
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise MalformedDescription(f"zmod modulus must be a positive int, got {n!r}")
         self.n = n
         self.axioms = AxiomReport(
@@ -388,7 +388,7 @@ class IntLattice(Ambient):
 
     def __init__(self, dim: int):
         super().__init__()
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise MalformedDescription(f"dimension must be a positive int, got {dim!r}")
         self.dim = dim
         zero = (0,) * dim

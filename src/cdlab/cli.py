@@ -27,7 +27,7 @@ from .setops import (
     ord_set,
     sumset,
 )
-from .search import CHECKERS, SearchSpec, replay, resolve_checker, run_search
+from .search import CHECKERS, SearchSpec, replay, run_checker, run_search
 from .theorems import davenport_transform, descent
 
 _USAGE_ERRORS = (CdlabError, ValueError, KeyError)
@@ -141,18 +141,16 @@ def _cmd_davenport(args):
 
 def _cmd_check(args):
     a = _ambient_from(args)
-    name = resolve_checker(args.which)
-    chk = CHECKERS[name]
     if args.sets:
         sets = [FinSet.from_json(a, s) for s in _load_json_arg(args.sets, "--sets")]
     else:
-        if args.x is None or (chk.arity == 2 and args.y is None):
-            raise ValueError(f"checker {name!r} needs --x and --y (or --sets)")
-        sets = [_set_from(a, args.x, "--x"), _set_from(a, args.y, "--y")]
-    if chk.arity is not None and len(sets) != chk.arity:
-        raise ValueError(f"checker {name!r} takes exactly {chk.arity} sets")
-    verdict = chk.run(sets, args.budget)
-    return (0 if chk.ok(verdict) is not False else 1), chk.encode(verdict, sets)
+        if args.x is None:
+            raise ValueError(f"checker {args.which!r} needs --x and --y (or --sets)")
+        sets = [_set_from(a, args.x, "--x")]
+        if args.y is not None:
+            sets.append(_set_from(a, args.y, "--y"))
+    ok, doc = run_checker(args.which, sets, args.budget)
+    return (0 if ok is not False else 1), doc
 
 
 def _cmd_descent(args):
@@ -170,7 +168,7 @@ def _cmd_search(args):
     if args.budget is not None:
         spec.budget = args.budget
     if args.seed is not None:
-        if spec.mode.get("kind") != "random":
+        if not isinstance(spec.mode, dict) or spec.mode.get("kind") != "random":
             raise ValueError("--seed only applies to random search modes")
         spec.mode = dict(spec.mode, seed=args.seed)
     report = run_search(spec)
@@ -249,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--which",
         required=True,
-        choices=("theorem", "prop13", "udt", "hs", "zn", "weaker", "conjecture"),
+        choices=tuple(CHECKERS),
     )
     p.add_argument("--x")
     p.add_argument("--y")
@@ -267,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="SearchSpec JSON or file path")
     p.add_argument("--workers", type=int)
     p.add_argument("--seed", type=int)
-    p.set_defaults(fn=_cmd_search)
+    # the spec's own budget stands unless --budget is given
+    p.set_defaults(fn=_cmd_search, budget=None)
 
     p = sub.add_parser("replay", help="re-run a checker on a recorded instance")
     _add_common(p, ambient=False)

@@ -7,33 +7,11 @@ behaviour without any wrapper class.  The conventions for empty bounds are
 sup({}) = 0 and inf({}) = INF.
 """
 
-from typing import Iterable, Union
+from typing import Union
 
 ExtNat = Union[int, float]
 
 INF: ExtNat = float("inf")
-
-
-def is_finite(v: ExtNat) -> bool:
-    return v != INF
-
-
-def sup_ext(values: Iterable[ExtNat]) -> ExtNat:
-    """Supremum with sup of the empty collection equal to 0."""
-    best: ExtNat = 0
-    for v in values:
-        if v > best:
-            best = v
-    return best
-
-
-def inf_ext(values: Iterable[ExtNat]) -> ExtNat:
-    """Infimum with inf of the empty collection equal to INF."""
-    best: ExtNat = INF
-    for v in values:
-        if v < best:
-            best = v
-    return best
 
 
 def encode_extnat(v: ExtNat):

@@ -107,16 +107,13 @@ def min_order(Y: FinSet, budget: int = DEFAULT_BUDGET) -> ExtNat:
 
 @dataclass(frozen=True)
 class InvariantTransform:
-    """The pair (X + shift, -shift + Y) together with verified flags for
-    the three defining identities."""
+    """The pair (X + shift, -shift + Y); invariant_transform verifies the
+    three defining identities before it builds one."""
 
     x0: FinSet
     y0: FinSet
     shift: object
     direction: tuple = ("x0 = X + shift", "y0 = -shift + Y")
-    s1_sumset_size: bool = True
-    s2_set_sizes: bool = True
-    s3_gamma: bool = True
 
     def to_json(self):
         a = self.x0.ambient
@@ -125,9 +122,6 @@ class InvariantTransform:
             "y0": self.y0.to_json(),
             "shift": a.encode(self.shift),
             "direction": list(self.direction),
-            "s1_sumset_size": self.s1_sumset_size,
-            "s2_set_sizes": self.s2_set_sizes,
-            "s3_gamma": self.s3_gamma,
         }
 
 

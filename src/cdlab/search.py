@@ -14,6 +14,7 @@ state.
 """
 
 import json
+import math
 import multiprocessing
 import random
 import time
@@ -38,78 +39,70 @@ _CHUNK_RANDOM = 4096
 # -- checker registry ---------------------------------------------------------
 
 
+def _holds(verdict):
+    return verdict.holds
+
+
+def _plain(verdict, sets):
+    return verdict.to_json()
+
+
 @dataclass(frozen=True)
 class Checker:
-    """Adapter around one checker: fixed arity (None = any), the runner,
-    the pass/fail reading of its verdict (None = not applicable, which is
-    never a violation), and the JSON encoding of the verdict."""
+    """The one declaration of a checker: fixed arity (None = any), the
+    runner, the pass/fail reading of its verdict (None = not applicable,
+    which is never a violation), the JSON encoding of the verdict, and
+    whether its outcome is invariant under replacing (X, Y) by
+    (X + y0, -y0 + Y) for a unit y0 of Y, which justifies pinning the
+    identity into the last slot during exhaustive runs."""
 
     arity: object
-    run: object      # (sets, budget) -> verdict object
-    ok: object       # verdict -> bool | None
-    encode: object   # (verdict, sets) -> dict
+    run: object                        # (sets, budget) -> verdict object
+    ok: object = _holds                # verdict -> bool | None
+    encode: object = _plain            # (verdict, sets) -> dict
+    translation_invariant: bool = False
 
 
-def _run_theorem(sets, budget):
-    return theorems.check_theorem_main(sets[0], sets[1], budget)
-
-
-def _run_prop13(sets, budget):
-    return theorems.check_prop_equiv(sets[0], sets[1], budget)
-
-
-def _run_udt(sets, budget):
-    return theorems.check_cor_udt(sets[0], sets[1], budget)
-
-
-def _run_hs(sets, budget):
-    return theorems.check_cor_hs(sets[0], sets[1], budget)
-
-
-def _run_zn(sets, budget):
-    return theorems.check_cor_zn(sets[0], sets[1], budget)
-
-
-def _run_weaker(sets, budget):
-    return theorems.check_weaker_bound(sets[0], sets[1], budget)
-
-
-def _ok_holds(r):
-    return r.holds
-
-
-def _encode_plain(v, sets):
-    return v.to_json()
+def _pair(fn):
+    """Runner for a checker of one pair: fn(X, Y, budget)."""
+    return lambda sets, budget: fn(sets[0], sets[1], budget)
 
 
 CHECKERS = {
     "theorem": Checker(
         2,
-        _run_theorem,
-        lambda v: v.disjunction_holds,
-        lambda v, sets: v.to_json(sets[0].ambient),
+        _pair(theorems.check_theorem_main),
+        ok=lambda v: v.disjunction_holds,
+        encode=lambda v, sets: v.to_json(sets[0].ambient),
+        translation_invariant=True,
     ),
-    "prop13": Checker(2, _run_prop13, lambda v: v.agree, _encode_plain),
-    "udt": Checker(2, _run_udt, _ok_holds, _encode_plain),
-    "hs": Checker(2, _run_hs, _ok_holds, _encode_plain),
-    "zn": Checker(2, _run_zn, _ok_holds, _encode_plain),
-    "weaker": Checker(2, _run_weaker, _ok_holds, _encode_plain),
-    "conjecture": Checker(None, theorems.conjecture_holds, _ok_holds, _encode_plain),
+    "prop13": Checker(2, _pair(theorems.check_prop_equiv), ok=lambda v: v.agree),
+    "udt": Checker(2, _pair(theorems.check_cor_udt), translation_invariant=True),
+    "hs": Checker(2, _pair(theorems.check_cor_hs)),
+    "zn": Checker(2, _pair(theorems.check_cor_zn), translation_invariant=True),
+    "weaker": Checker(2, _pair(theorems.check_weaker_bound), translation_invariant=True),
+    "conjecture": Checker(None, theorems.conjecture_holds, translation_invariant=True),
 }
 
 _ALIASES = {"theorem_main": "theorem"}
 
-# checkers whose outcome is invariant under replacing (X, Y) by
-# (X + y0, -y0 + Y) for a unit y0 of Y, which justifies pinning the
-# identity into the last slot during exhaustive runs
-TRANSLATION_INVARIANT = {"theorem", "udt", "weaker", "conjecture", "zn"}
 
-
-def resolve_checker(name: str):
-    name = _ALIASES.get(name, name)
-    if name not in CHECKERS:
+def resolve_checker(name) -> str:
+    resolved = _ALIASES.get(name, name) if isinstance(name, str) else None
+    if resolved not in CHECKERS:
         raise SpecInvalid(f"unknown checker {name!r}")
-    return name
+    return resolved
+
+
+def run_checker(name, sets: list, budget: int):
+    """Resolve a checker name, check that it takes len(sets) sets, run it,
+    and return (ok, encoded verdict); ok is None when the checker does not
+    apply, which is never a violation."""
+    chk = CHECKERS[resolve_checker(name)]
+    if chk.arity is not None and len(sets) != chk.arity:
+        raise SpecInvalid(f"checker {name!r} takes {chk.arity} sets, got {len(sets)}")
+    verdict = chk.run(sets, budget)
+    return chk.ok(verdict), chk.encode(verdict, sets)
 
 
 # -- abelian group enumeration --------------------------------------------------
@@ -234,20 +227,27 @@ class SearchSpec:
         )
 
 
+def _int_field(value, what: str, low=None, error=SpecInvalid) -> int:
+    """An int that is not a bool, at least `low` when given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise error(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{what} must be at least {low}, got {value}")
+    return value
+
+
 def family_ambients(family: dict):
     if not isinstance(family, dict) or "kind" not in family:
         raise SpecInvalid(f"malformed ambient family: {family!r}")
     kind = family["kind"]
     if kind == "zmod_range":
-        lo, hi = family.get("lo"), family.get("hi")
-        if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
-            raise SpecInvalid("zmod_range needs integers 1 <= lo <= hi")
+        lo = _int_field(family.get("lo"), "zmod_range lo", 1)
+        hi = _int_field(family.get("hi"), "zmod_range hi", lo)
         ambients = [ZMod(n) for n in range(lo, hi + 1)]
     elif kind == "abelian_up_to_order":
-        n = family.get("max_order")
-        if not isinstance(n, int) or n < 1:
-            raise SpecInvalid("abelian_up_to_order needs a positive max_order")
-        ambients = enumerate_abelian_groups(n)
+        ambients = enumerate_abelian_groups(
+            _int_field(family.get("max_order"), "abelian_up_to_order max_order", 1)
+        )
     elif kind == "explicit":
         descs = family.get("ambients")
         if not isinstance(descs, list) or not descs:
@@ -265,32 +265,39 @@ def family_ambients(family: dict):
 
 
 _FILTER_KEYS = {"nonempty", "contains_identity", "commutative_generated", "max_size"}
+_FILTER_FLAGS = _FILTER_KEYS - {"max_size"}
 
 
 def _validate_spec(spec: SearchSpec):
     name = resolve_checker(spec.checker)
-    arity = CHECKERS[name].arity
-    if spec.n_summands < 1:
-        raise SpecInvalid("n_summands must be at least 1")
-    if arity is not None and spec.n_summands != arity:
+    chk = CHECKERS[name]
+    _int_field(spec.n_summands, "n_summands", 1)
+    if chk.arity is not None and spec.n_summands != chk.arity:
         raise SpecInvalid(
-            f"checker {name!r} takes {arity} sets, spec asked for {spec.n_summands}"
+            f"checker {name!r} takes {chk.arity} sets, spec asked for {spec.n_summands}"
         )
-    if not isinstance(spec.subset_filter, dict) or set(spec.subset_filter) - _FILTER_KEYS:
+    filters = spec.subset_filter
+    if not isinstance(filters, dict) or set(filters) - _FILTER_KEYS:
         raise SpecInvalid(f"subset_filter keys must be among {sorted(_FILTER_KEYS)}")
-    if spec.workers < 1:
-        raise SpecInvalid("workers must be at least 1")
+    for key in _FILTER_FLAGS & set(filters):
+        if not isinstance(filters[key], bool):
+            raise SpecInvalid(f"subset_filter {key} must be true or false")
+    if filters.get("max_size") is not None:
+        _int_field(filters["max_size"], "subset_filter max_size", 0)
+    _int_field(spec.workers, "workers", 1)
+    _int_field(spec.budget, "budget", 1)
+    _int_field(spec.ceiling, "ceiling", 1)
+    if not isinstance(spec.symmetry_reduction, bool):
+        raise SpecInvalid("symmetry_reduction must be true or false")
     mode = spec.mode
     if not isinstance(mode, dict) or mode.get("kind") not in ("exhaustive", "random"):
         raise SpecInvalid("mode must be exhaustive or random")
     if mode["kind"] == "random":
-        if not isinstance(mode.get("seed"), int):
-            raise SpecInvalid("random mode requires an integer seed")
-        if not isinstance(mode.get("trials"), int) or mode["trials"] < 1:
-            raise SpecInvalid("random mode requires a positive trial count")
+        _int_field(mode.get("seed"), "random mode seed")
+        _int_field(mode.get("trials"), "random mode trials", 1)
     ambients = family_ambients(spec.family)
     if spec.symmetry_reduction:
-        if name not in TRANSLATION_INVARIANT:
+        if not chk.translation_invariant:
             raise SpecInvalid(f"checker {name!r} is not marked translation invariant")
         for a in ambients:
             if not (a.all_units and a.axioms.has_identity):
@@ -308,33 +315,20 @@ def _insert_identity_bit(j: int, pos: int) -> int:
 
 
 class _Space:
-    """Odometer over subset-mask tuples for one ambient; slot 0 varies
+    """Digit bases of the subset-mask tuples of one ambient; slot 0 varies
     fastest.  With symmetry reduction the last slot runs over the empty
     mask plus the masks containing the identity."""
 
     def __init__(self, ambient: Ambient, n_summands: int, reduced: bool):
-        self.ambient = ambient
-        self.n = ambient.carrier_size
+        n = ambient.carrier_size
         self.reduced = reduced
-        self.id_index = (
-            ambient.index_of(ambient.identity) if ambient.axioms.has_identity else None
-        )
-        full = 1 << self.n
-        self.bases = [full] * n_summands
+        self.bases = [1 << n] * n_summands
         if reduced:
-            self.bases[-1] = (1 << (self.n - 1)) + 1
-        self.total = 1
-        for b in self.bases:
-            self.total *= b
+            self.id_index = ambient.index_of(ambient.identity)
+            self.bases[-1] = (1 << (n - 1)) + 1
+        self.total = math.prod(self.bases)
 
-    def masks_at(self, offset: int):
-        masks = []
-        for slot, base in enumerate(self.bases):
-            offset, digit = divmod(offset, base)
-            masks.append(self._digit_to_mask(slot, digit))
-        return masks
-
-    def _digit_to_mask(self, slot: int, digit: int) -> int:
+    def digit_to_mask(self, slot: int, digit: int) -> int:
         if self.reduced and slot == len(self.bases) - 1:
             if digit == 0:
                 return 0
@@ -350,13 +344,10 @@ class _Context:
         self.spec = spec
         self.checker_name, self.ambients = _validate_spec(spec)
         self.checker = CHECKERS[self.checker_name]
-        self.filters = spec.subset_filter
-        self.f_nonempty = bool(spec.subset_filter.get("nonempty"))
+        self.f_nonempty = spec.subset_filter.get("nonempty", False)
         self.f_max_size = spec.subset_filter.get("max_size")
-        self.f_identity = bool(spec.subset_filter.get("contains_identity"))
-        self.f_commutative = bool(spec.subset_filter.get("commutative_generated"))
-        self.spaces = None
-        self.offsets = None
+        self.f_identity = spec.subset_filter.get("contains_identity", False)
+        self.f_commutative = spec.subset_filter.get("commutative_generated", False)
         if spec.mode["kind"] == "exhaustive":
             self.spaces = [
                 _Space(a, spec.n_summands, spec.symmetry_reduction)
@@ -371,6 +362,7 @@ class _Context:
         else:
             self.total = spec.mode["trials"]
         self._finsets = [dict() for _ in self.ambients]
+        self._columns = {}
 
     def finset(self, ai: int, mask: int) -> FinSet:
         cache = self._finsets[ai]
@@ -379,6 +371,22 @@ class _Context:
             s = FinSet.from_mask(self.ambients[ai], mask)
             cache[mask] = s
         return s
+
+    def column(self, ai: int, slot: int) -> list:
+        """The sets of one slot of one ambient, indexed by digit: the
+        decoded FinSet, or None where the subset filter rejects the mask.
+        Slots other than the last share one column."""
+        last = slot == self.spec.n_summands - 1
+        col = self._columns.get((ai, last))
+        if col is None:
+            space = self.spaces[ai]
+            col = []
+            for digit in range(space.bases[slot]):
+                mask = space.digit_to_mask(slot, digit)
+                passes = _mask_passes(self, ai, slot, mask)
+                col.append(self.finset(ai, mask) if passes else None)
+            self._columns[(ai, last)] = col
+        return col
 
     def locate(self, flat: int):
         for ai in range(len(self.spaces) - 1, -1, -1):
@@ -415,131 +423,100 @@ def _mask_passes(ctx: _Context, ai: int, slot: int, mask: int) -> bool:
     return True
 
 
-def _encode_instance(ctx: _Context, ai: int, sets, verdict: dict) -> dict:
-    return {
-        "ambient": ctx.ambients[ai].describe(),
-        "checker": ctx.checker_name,
-        "sets": [s.to_json() for s in sets],
-        "budget": ctx.spec.budget,
-        "verdict": verdict,
-    }
-
-
-def _run_exhaustive_range(ctx: _Context, start: int, end: int):
-    checked = skipped = 0
-    violations = []
+def _sweep(ctx: _Context, ai: int, heads, tail: list, tally: dict):
+    """Run the checker on (X, *tail) for every X in heads, in order, and
+    add the outcomes to the item's tally; a None head is a mask the subset
+    filter rejected."""
     chk = ctx.checker
     run, ok_of = chk.run, chk.ok
     budget = ctx.spec.budget
-    nonempty = ctx.f_nonempty
-    plain_filter = (
-        ctx.f_max_size is None and not ctx.f_identity and not ctx.f_commutative
-    )
+    checked = skipped = 0
+    for X in heads:
+        if X is None:
+            skipped += 1
+            continue
+        sets = [X, *tail]
+        try:
+            verdict = run(sets, budget)
+        except PreconditionViolated:
+            skipped += 1
+            continue
+        checked += 1
+        if ok_of(verdict) is False:
+            tally["violations"].append(
+                {
+                    "ambient": ctx.ambients[ai].describe(),
+                    "checker": ctx.checker_name,
+                    "sets": [s.to_json() for s in sets],
+                    "budget": budget,
+                    "verdict": chk.encode(verdict, sets),
+                }
+            )
+    tally["checked"] += checked
+    tally["skipped"] += skipped
+
+
+def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
+    """Walk flat indices [start, end) slab by slab: a slab fixes the
+    trailing slots and sweeps slot 0 over a slice of its column."""
     flat = start
     while flat < end:
         ai, offset = ctx.locate(flat)
         space = ctx.spaces[ai]
-        base_flat = ctx.offsets[ai]
-        stop = min(end, base_flat + space.total) - base_flat
-        bases = space.bases
-        last = len(bases) - 1
-        reduced = space.reduced
-        to_mask = space._digit_to_mask
-        cache = ctx._finsets[ai]
-        ambient = ctx.ambients[ai]
-        from_mask = FinSet.from_mask
-        for off in range(offset, stop):
-            masks = []
-            o = off
-            for base in bases:
-                o, digit = divmod(o, base)
-                masks.append(digit)
-            if reduced:
-                masks[last] = to_mask(last, masks[last])
-            if plain_filter:
-                if nonempty and 0 in masks:
-                    skipped += 1
-                    continue
+        stop = min(end - ctx.offsets[ai], space.total)
+        cols = [ctx.column(ai, slot) for slot in range(len(space.bases))]
+        trailing = list(zip(cols[1:], space.bases[1:]))
+        head_col, width = cols[0], space.bases[0]
+        slab, lo = divmod(offset, width)
+        while offset < stop:
+            hi = min(width, lo + stop - offset)
+            tail = []
+            rest = slab
+            for col, base in trailing:
+                rest, digit = divmod(rest, base)
+                tail.append(col[digit])
+            if None in tail:
+                tally["skipped"] += hi - lo
             else:
-                passed = True
-                for slot, m in enumerate(masks):
-                    if not _mask_passes(ctx, ai, slot, m):
-                        passed = False
-                        break
-                if not passed:
-                    skipped += 1
-                    continue
-            sets = []
-            for m in masks:
-                s = cache.get(m)
-                if s is None:
-                    s = from_mask(ambient, m)
-                    cache[m] = s
-                sets.append(s)
-            try:
-                verdict = run(sets, budget)
-            except PreconditionViolated:
-                skipped += 1
-                continue
-            checked += 1
-            if ok_of(verdict) is False:
-                violations.append(
-                    _encode_instance(ctx, ai, sets, chk.encode(verdict, sets))
-                )
-        flat = base_flat + stop
-    return checked, skipped, violations
+                _sweep(ctx, ai, head_col[lo:hi], tail, tally)
+            offset += hi - lo
+            slab += 1
+            lo = 0
+        flat = ctx.offsets[ai] + stop
 
 
 def _sample_instance(ctx: _Context, index: int):
     rng = random.Random(f"{ctx.spec.mode['seed']}:{index}")
     ai = rng.randrange(len(ctx.ambients))
     n = ctx.ambients[ai].carrier_size
-    masks = []
+    sets = []
     for slot in range(ctx.spec.n_summands):
         for _ in range(100000):
             m = rng.getrandbits(n)
             if _mask_passes(ctx, ai, slot, m):
-                masks.append(m)
+                sets.append(ctx.finset(ai, m))
                 break
         else:
             raise SpecInvalid("subset filters rejected 100000 straight samples")
-    return ai, masks
+    return ai, sets
 
 
-def _run_random_range(ctx: _Context, start: int, end: int):
-    checked = skipped = 0
-    violations = []
-    chk = ctx.checker
-    budget = ctx.spec.budget
+def _run_random_range(ctx: _Context, start: int, end: int, tally: dict):
+    """Check each trial as a slab of one head."""
     for index in range(start, end):
-        ai, masks = _sample_instance(ctx, index)
-        sets = [ctx.finset(ai, m) for m in masks]
-        try:
-            verdict = chk.run(sets, budget)
-        except PreconditionViolated:
-            skipped += 1
-            continue
-        checked += 1
-        if chk.ok(verdict) is False:
-            violations.append(
-                _encode_instance(ctx, ai, sets, chk.encode(verdict, sets))
-            )
-    return checked, skipped, violations
+        ai, sets = _sample_instance(ctx, index)
+        _sweep(ctx, ai, sets[:1], sets[1:], tally)
 
 
 def _run_item(payload):
     spec_json, item, start, end = payload
     ctx = _context(spec_json)
+    tally = {"item": item, "checked": 0, "skipped": 0, "violations": []}
     if ctx.spec.mode["kind"] == "exhaustive":
-        checked, skipped, violations = _run_exhaustive_range(ctx, start, end)
+        _run_exhaustive_range(ctx, start, end, tally)
     else:
-        checked, skipped, violations = _run_random_range(ctx, start, end)
-    return {
-        "item": item,
-        "checked": checked,
-        "skipped": skipped,
-        "violations": violations,
-    }
+        _run_random_range(ctx, start, end, tally)
+    return tally
 
 
 # -- driver -------------------------------------------------------------------------
@@ -578,7 +555,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
     """Partition the instance space into fixed-size items, run them on the
     requested number of workers, and merge the results in item order."""
     started = time.monotonic()
-    name, _ = _validate_spec(spec)
+    _validate_spec(spec)
     spec_json = json.dumps(spec.to_json(), sort_keys=True)
     ctx = _context(spec_json)
     if spec.mode["kind"] == "exhaustive":
@@ -640,18 +617,19 @@ def replay(instance: dict):
         raise MalformedInstance(f"instance must be an object, got {instance!r}")
     try:
         ambient = make_ambient(instance["ambient"])
-        name = resolve_checker(instance["checker"])
-        chk = CHECKERS[name]
+        name = instance["checker"]
         raw_sets = instance["sets"]
-        budget = instance.get("budget", DEFAULT_BUDGET)
         if not isinstance(raw_sets, list) or not raw_sets:
             raise MalformedInstance("instance has no sets")
-        if chk.arity is not None and len(raw_sets) != chk.arity:
-            raise MalformedInstance(f"checker {name!r} takes {chk.arity} sets")
         sets = [FinSet.from_json(ambient, s) for s in raw_sets]
     except MalformedInstance:
         raise
     except (CdlabError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInstance(f"cannot decode instance: {exc}") from exc
-    verdict = chk.run(sets, budget)
-    return chk.ok(verdict), chk.encode(verdict, sets)
+    budget = _int_field(
+        instance.get("budget", DEFAULT_BUDGET), "budget", 1, MalformedInstance
+    )
+    try:
+        return run_checker(name, sets, budget)
+    except SpecInvalid as exc:
+        raise MalformedInstance(str(exc)) from exc

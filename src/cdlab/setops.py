@@ -172,16 +172,7 @@ def _sumset_mask(X: FinSet, Y: FinSet):
     """Bit-vector of X+Y, or None when this ambient has no mask path."""
     a = X.ambient
     if type(a) is ZMod:
-        n = a.n
-        mx = X.mask
-        full = (1 << n) - 1
-        acc = 0
-        for y in Y.elements:
-            if y:
-                acc |= ((mx << y) | (mx >> (n - y))) & full
-            else:
-                acc |= mx
-        return acc
+        return _zmod_sumset_mask(X.mask, Y.elements, a.n)
     if not _mask_capable(a):
         return None
     tbl = a.index_table()

@@ -245,10 +245,10 @@ def check_theorem_main(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Th
     _require(bool(Y.elements), "the dichotomy needs a nonempty Y")
     _require(is_commutative_generated(Y), "the dichotomy needs commutative <Y>")
     gam = gamma_set(Y, budget).value
-    lhs = sumset_size(X, Y)
+    xy = sumset(X, Y)
+    lhs = len(xy)
     rhs = len(X.elements) + int(min(gam, len(Y.elements) - 1))
     branch_i = lhs >= rhs
-    xy = sumset(X, Y)
     x2y = sumset(xy, Y)
     witness = None
     for yb in units_of(Y).elements:

@@ -101,6 +101,47 @@ def test_parse_errors_exit_2(capsys):
     assert status == 2
 
 
+def _spec(**fields):
+    doc = {"family": {"kind": "zmod_range", "lo": 2, "hi": 3}, "checker": "udt"}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sumset", "--ambient", '{"kind":"zmod","n":true}', "--x", "[0]", "--y", "[0]"),
+        ("ord", "--ambient", '{"kind":"int_lattice","dim":true}', "--elem", "[0]"),
+        ("search", "--spec", _spec(workers="2")),
+        ("search", "--spec", _spec(checker="conjecture", n_summands=True)),
+        ("search", "--spec", _spec(n_summands="2")),
+        ("search", "--spec", _spec(budget="x")),
+        ("search", "--spec", _spec(budget=-1)),
+        ("search", "--spec", _spec(ceiling=1.5)),
+        ("search", "--spec", _spec(subset_filter={"max_size": "x"})),
+        ("search", "--spec", _spec(subset_filter={"nonempty": "yes"})),
+        ("search", "--spec", _spec(symmetry_reduction="yes")),
+        ("search", "--spec", _spec(mode={"kind": "random", "seed": True, "trials": 5})),
+        ("search", "--spec", _spec(mode={"kind": "random", "seed": 1, "trials": "5"})),
+        ("search", "--spec", _spec(family={"kind": "zmod_range", "lo": True, "hi": 3})),
+        ("search", "--spec", _spec(family={"kind": "abelian_up_to_order", "max_order": True})),
+        ("search", "--spec", _spec(
+            family={"kind": "explicit", "ambients": [{"kind": "zmod", "n": True}]}
+        )),
+        ("search", "--spec", _spec(checker=["udt"])),
+        ("search", "--spec", _spec(mode="random"), "--seed", "3"),
+        ("replay", "--instance", json.dumps(
+            {"ambient": {"kind": "zmod", "n": 3}, "checker": "udt",
+             "sets": [[0], [1]], "budget": "x"}
+        )),
+    ],
+)
+def test_malformed_field_types_exit_2(capsys, argv):
+    status, out, err = run_cli(capsys, *argv)
+    assert status == 2 and out == ""
+    assert err.startswith("cdlab: ") and err.count("\n") == 1
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -145,6 +186,7 @@ def test_search_and_replay_via_files(capsys, tmp_path):
                 "checker": "theorem",
                 "subset_filter": {"nonempty": True},
                 "mode": {"kind": "random", "trials": 200},
+                "budget": 5000,
             }
         )
     )
@@ -154,6 +196,7 @@ def test_search_and_replay_via_files(capsys, tmp_path):
     assert status == 0
     doc = json.loads(out)
     assert doc["violations"] == [] and doc["seed"] == 5
+    assert doc["spec"]["budget"] == 5000  # no --budget, so the spec's stands
 
     inst = tmp_path / "inst.json"
     inst.write_text(

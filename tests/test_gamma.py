@@ -98,7 +98,7 @@ def test_invariant_transform_examples():
     t = invariant_transform(X, Y, 1)
     assert t.x0.elements == (1,)
     assert t.y0.elements == (0, 2)
-    assert t.s1_sumset_size and t.s2_set_sizes and t.s3_gamma
+    assert sumset_size(t.x0, t.y0) == sumset_size(X, Y)
     assert gamma_set(Y).value == gamma_set(t.y0).value == 3
 
     X, Y = FinSet(Z5, [0, 1]), FinSet(Z5, [2, 3])

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -10,9 +11,11 @@ from cdlab import (
     replay,
     run_search,
 )
-from cdlab.errors import CeilingExceeded, MalformedInstance, SpecInvalid
+from cdlab.errors import CeilingExceeded, MalformedInstance, PreconditionViolated, SpecInvalid
 from cdlab import fixtures
+from cdlab import search as search_mod
 from cdlab.search import family_ambients, resolve_checker
+from cdlab.setops import is_commutative_generated
 
 
 def _stable(report):
@@ -277,3 +280,123 @@ def test_search_report_json_shape():
     assert doc["per_item"][0]["item"] == 0
     round_trip = SearchSpec.from_json(doc["spec"])
     assert round_trip.to_json() == doc["spec"]
+
+
+_NONEMPTY = {"nonempty": True}
+# every checker, symmetry reduction, each subset filter, one to three
+# summands and product ambients; chunks of 37 end inside slabs of Z6 and Z7
+_SLAB_SPECS = [
+    dict(family={"kind": "zmod_range", "lo": 2, "hi": 6}, checker="theorem_main",
+         subset_filter=_NONEMPTY),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 5}, checker="prop13"),
+    dict(family={"kind": "zmod_range", "lo": 2, "hi": 7}, checker="udt",
+         subset_filter=_NONEMPTY, workers=2),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 5}, checker="hs"),
+    dict(family={"kind": "zmod_range", "lo": 2, "hi": 6}, checker="zn",
+         subset_filter=_NONEMPTY),
+    dict(family={"kind": "abelian_up_to_order", "max_order": 6}, checker="weaker",
+         subset_filter=_NONEMPTY),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 9}, checker="conjecture",
+         n_summands=1),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 3}, checker="conjecture",
+         n_summands=3),
+    dict(family={"kind": "zmod_range", "lo": 2, "hi": 6}, checker="theorem",
+         subset_filter=_NONEMPTY, symmetry_reduction=True),
+    dict(family={"kind": "zmod_range", "lo": 2, "hi": 7}, checker="udt",
+         symmetry_reduction=True),
+    dict(family={"kind": "zmod_range", "lo": 2, "hi": 4}, checker="conjecture",
+         n_summands=3, subset_filter=_NONEMPTY, symmetry_reduction=True),
+    dict(family={"kind": "zmod_range", "lo": 2, "hi": 7}, checker="udt",
+         subset_filter={"nonempty": True, "max_size": 3}),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="theorem",
+         subset_filter={"contains_identity": True}),
+    dict(family={"kind": "explicit", "ambients": [fixtures.s3().describe()]},
+         checker="theorem", subset_filter={"nonempty": True, "commutative_generated": True}),
+]
+
+
+def _brute_force(spec):
+    """(checked, skipped, violating instances) of an exhaustive spec, from
+    every mask tuple that itertools.product yields, slot 0 fastest."""
+    chk = search_mod.CHECKERS[resolve_checker(spec.checker)]
+    flt = spec.subset_filter
+    checked = skipped = 0
+    violations = []
+    for a in family_ambients(spec.family):
+        ident = a.index_of(a.identity) if a.axioms.has_identity else None
+
+        def passes(mask, last):
+            if flt.get("nonempty") and mask == 0:
+                return False
+            if flt.get("max_size") is not None and bin(mask).count("1") > flt["max_size"]:
+                return False
+            if last and flt.get("contains_identity") and not (mask >> ident) & 1:
+                return False
+            return not (
+                last
+                and flt.get("commutative_generated")
+                and not is_commutative_generated(FinSet.from_mask(a, mask))
+            )
+
+        slots = [range(1 << a.carrier_size)] * spec.n_summands
+        if spec.symmetry_reduction:
+            slots[-1] = [0] + [m for m in slots[-1] if (m >> ident) & 1]
+        for reversed_masks in itertools.product(*reversed(slots)):
+            masks = reversed_masks[::-1]
+            if not all(passes(m, i == len(masks) - 1) for i, m in enumerate(masks)):
+                skipped += 1
+                continue
+            sets = [FinSet.from_mask(a, m) for m in masks]
+            try:
+                verdict = chk.run(sets, spec.budget)
+            except PreconditionViolated:
+                skipped += 1
+                continue
+            checked += 1
+            if chk.ok(verdict) is False:
+                violations.append((a.describe(), [s.to_json() for s in sets]))
+    return checked, skipped, violations
+
+
+def _slab_check(monkeypatch, specs):
+    def without_items(spec):
+        doc = _stable(run_search(spec))
+        doc.pop("per_item")
+        return doc
+
+    default = [without_items(s) for s in specs]
+    monkeypatch.setattr(search_mod, "_CHUNK_EXHAUSTIVE", 37)
+    monkeypatch.setattr(search_mod, "_CTX_CACHE", {})
+    for spec, want in zip(specs, default):
+        got = without_items(spec)
+        assert got == want, spec
+        checked, skipped, violations = _brute_force(spec)
+        assert (got["instances_checked"], got["instances_skipped"]) == (checked, skipped)
+        assert [(v["ambient"], v["sets"]) for v in got["violations"]] == violations
+
+
+def test_slab_edges_match_default_chunks_and_brute_force(monkeypatch):
+    _slab_check(monkeypatch, [SearchSpec(**s) for s in _SLAB_SPECS])
+
+
+def test_slab_edges_keep_violation_order(monkeypatch):
+    from cdlab.theorems import BoundReport
+
+    real = search_mod.CHECKERS["udt"]
+
+    def fake_run(sets, budget):
+        r = real.run(sets, budget)
+        if len(sets[0]) == 1 and len(sets[1]) == 1:
+            return BoundReport(holds=False, lhs=r.lhs, rhs=r.rhs, detail=r.detail)
+        return r
+
+    monkeypatch.setitem(
+        search_mod.CHECKERS, "udt", search_mod.Checker(2, fake_run, real.ok, real.encode)
+    )
+    monkeypatch.setattr(search_mod, "_CTX_CACHE", {})
+    spec = SearchSpec(
+        family={"kind": "zmod_range", "lo": 3, "hi": 6},
+        checker="udt",
+        subset_filter=_NONEMPTY,
+    )
+    _slab_check(monkeypatch, [spec])
