@@ -13,7 +13,7 @@ from .ambient import (
     ZMod,
     make_ambient,
 )
-from .extnat import INF, ExtNat, encode_extnat, decode_extnat
+from .extnat import INF, ExtNat, encode_extnat
 from .setops import (
     DEFAULT_BUDGET,
     FinSet,

@@ -150,10 +150,8 @@ class Ambient:
             return None
         if self._table is None:
             elems = self.carrier()
-            idx = {e: i for i, e in enumerate(elems)}
-            self._table = [
-                [idx[self.add(a, b)] for b in elems] for a in elems
-            ]
+            idx = self.index_of
+            self._table = [[idx(self.add(a, b)) for b in elems] for a in elems]
         return self._table
 
     # -- analytic order rules ---------------------------------------------
@@ -260,6 +258,8 @@ class Cayley(Ambient):
         n = len(self.table)
         if labels is None:
             labels = [str(i) for i in range(n)]
+        elif not isinstance(labels, (list, tuple)):
+            raise MalformedDescription(f"cayley labels must be a list, got {labels!r}")
         if len(labels) != n:
             raise MalformedDescription(
                 f"{len(labels)} labels for a table of size {n}"
@@ -650,15 +650,18 @@ _KINDS = {
     "cayley": lambda d: Cayley(_field(d, "table"), d.get("labels")),
     "int_lattice": lambda d: IntLattice(_field(d, "dim")),
     "nat_lattice": lambda d: NatLattice(_field(d, "dim")),
-    "free_monoid": lambda d: FreeMonoid(_field(d, "alphabet")),
-    "product": lambda d: Product(make_ambient(f) for f in _field(d, "factors")),
+    "free_monoid": lambda d: FreeMonoid(_field(d, "alphabet", list)),
+    "product": lambda d: Product(make_ambient(f) for f in _field(d, "factors", list)),
 }
 
 
-def _field(desc, name):
+def _field(desc, name, kind=object):
     if name not in desc:
         raise MalformedDescription(f"description is missing {name!r}: {desc!r}")
-    return desc[name]
+    value = desc[name]
+    if not isinstance(value, kind):
+        raise MalformedDescription(f"{name!r} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def make_ambient(desc: dict) -> Ambient:

@@ -4,8 +4,9 @@ Every subcommand prints one complete JSON document on stdout (never a
 partial one); ``--format table`` renders the same document as aligned
 key/value rows instead.  Exit status is 0 for a successful computation or
 a satisfied property, 1 when a checker reports a violation or cannot
-certify, and 2 for usage or parse problems.  Randomized searches require
-an explicit seed, which is echoed in the report.
+certify, 2 for usage or parse problems, and 3 when an identity the library
+guarantees fails (a bug in cdlab).  Randomized searches require an
+explicit seed, which is echoed in the report.
 """
 
 import argparse
@@ -13,7 +14,7 @@ import json
 import sys
 
 from .ambient import make_ambient
-from .errors import BudgetExceeded, CdlabError
+from .errors import BudgetExceeded, CdlabError, InvariantBroken
 from .extnat import encode_extnat
 from .gamma import gamma_set, gamma_tuple
 from .setops import (
@@ -57,6 +58,13 @@ def _set_from(ambient, text: str, what: str) -> FinSet:
     return FinSet.from_json(ambient, _load_json_arg(text, what))
 
 
+def _sets_from(ambient, text: str, what: str) -> list:
+    payload = _load_json_arg(text, what)
+    if not isinstance(payload, list):
+        raise ValueError(f"{what} must be an array of sets, got {payload!r}")
+    return [FinSet.from_json(ambient, s) for s in payload]
+
+
 def _render(doc: dict, args) -> str:
     if args.format == "table":
         rows = []
@@ -84,7 +92,7 @@ def _emit(doc: dict, args) -> None:
 def _cmd_gamma(args):
     a = _ambient_from(args)
     if args.sets:
-        sets = [FinSet.from_json(a, s) for s in _load_json_arg(args.sets, "--sets")]
+        sets = _sets_from(a, args.sets, "--sets")
         value = gamma_tuple(sets, args.budget)
         return 0, {"value": encode_extnat(value), "n_sets": len(sets)}
     if args.x is None:
@@ -142,7 +150,7 @@ def _cmd_davenport(args):
 def _cmd_check(args):
     a = _ambient_from(args)
     if args.sets:
-        sets = [FinSet.from_json(a, s) for s in _load_json_arg(args.sets, "--sets")]
+        sets = _sets_from(a, args.sets, "--sets")
     else:
         if args.x is None:
             raise ValueError(f"checker {args.which!r} needs --x and --y (or --sets)")
@@ -286,6 +294,9 @@ def main(argv=None) -> int:
     except BudgetExceeded as exc:
         print(f"cdlab: budget exceeded: {exc}", file=sys.stderr)
         return 1
+    except InvariantBroken as exc:
+        print(f"cdlab: internal error: {exc}", file=sys.stderr)
+        return 3
     except _USAGE_ERRORS as exc:
         print(f"cdlab: {exc}", file=sys.stderr)
         return 2

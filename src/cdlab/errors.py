@@ -5,6 +5,10 @@ class CdlabError(Exception):
     """Base class for all library errors."""
 
 
+class InvariantBroken(RuntimeError):
+    """A guaranteed identity failed: a bug in cdlab, so not a CdlabError."""
+
+
 class MalformedDescription(CdlabError):
     """An ambient description does not parse or is internally inconsistent."""
 

@@ -17,11 +17,3 @@ INF: ExtNat = float("inf")
 def encode_extnat(v: ExtNat):
     """JSON form: plain int, or the string "inf"."""
     return "inf" if v == INF else int(v)
-
-
-def decode_extnat(v) -> ExtNat:
-    if v == "inf":
-        return INF
-    if isinstance(v, int) and v >= 0:
-        return v
-    raise ValueError(f"not an extended natural: {v!r}")

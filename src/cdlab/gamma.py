@@ -12,12 +12,13 @@ three facts are verified on every constructed transform.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .errors import (
     AmbientMismatch,
-    CdlabError,
     EmptySet,
+    InvariantBroken,
     NotAUnit,
     NoWitness,
     PreconditionViolated,
@@ -25,6 +26,7 @@ from .errors import (
 from .extnat import INF, ExtNat, encode_extnat
 from .setops import (
     DEFAULT_BUDGET,
+    MEMO_SIZE,
     FinSet,
     _same_ambient,
     _sorted_finset,
@@ -33,9 +35,6 @@ from .setops import (
     sumset_size,
     units_of,
 )
-
-_GAMMA_CACHE: dict = {}
-
 
 @dataclass(frozen=True)
 class GammaValue:
@@ -54,13 +53,11 @@ class GammaValue:
         }
 
 
+@lru_cache(maxsize=MEMO_SIZE)
 def gamma_set(X: FinSet, budget: int = DEFAULT_BUDGET) -> GammaValue:
     """The Cauchy-Davenport constant of a single set."""
     if len(X.elements) <= 1:
         return GammaValue(len(X.elements), None)
-    hit = _GAMMA_CACHE.get(X)
-    if hit is not None:
-        return hit
     a = X.ambient
     elems = X.elements
     best: ExtNat = 0
@@ -77,9 +74,7 @@ def gamma_set(X: FinSet, budget: int = DEFAULT_BUDGET) -> GammaValue:
         if inner > best:
             best = inner
             wit = x0
-    out = GammaValue(best, wit)
-    _GAMMA_CACHE[X] = out
-    return out
+    return GammaValue(best, wit)
 
 
 def gamma_tuple(Xs, budget: int = DEFAULT_BUDGET) -> ExtNat:
@@ -144,7 +139,7 @@ def invariant_transform(X: FinSet, Y: FinSet, y0, budget: int = DEFAULT_BUDGET) 
         and gamma_set(Y, budget).value == gamma_set(y0set, budget).value
     )
     if not (s1 and s2 and s3):
-        raise CdlabError(
+        raise InvariantBroken(
             f"transform by {y0!r} violated an invariance identity "
             f"(s1={s1}, s2={s2}, s3={s3})"
         )
@@ -186,8 +181,8 @@ def normalize_pair(X: FinSet, Y: FinSet, kappa: int, budget: int = DEFAULT_BUDGE
     t = invariant_transform(X, Y, chosen, budget)
     ident = a.identity
     if ident not in t.y0.elements:
-        raise CdlabError("normalized Y lost the identity")
+        raise InvariantBroken("normalized Y lost the identity")
     for y in t.y0.elements:
         if y != ident and ord_elem(a, y, budget) < kappa:
-            raise CdlabError("normalized Y kept an element below the threshold")
+            raise InvariantBroken("normalized Y kept an element below the threshold")
     return t

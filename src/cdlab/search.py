@@ -19,6 +19,7 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .ambient import Ambient, ZMod, Product, make_ambient
 from .errors import (
@@ -28,7 +29,7 @@ from .errors import (
     PreconditionViolated,
     SpecInvalid,
 )
-from .setops import DEFAULT_BUDGET, FinSet, is_commutative_generated
+from .setops import DEFAULT_BUDGET, MEMO_SIZE, FinSet, is_commutative_generated
 from . import theorems
 
 DEFAULT_CEILING = 1 << 30
@@ -361,16 +362,7 @@ class _Context:
             self.total = acc
         else:
             self.total = spec.mode["trials"]
-        self._finsets = [dict() for _ in self.ambients]
         self._columns = {}
-
-    def finset(self, ai: int, mask: int) -> FinSet:
-        cache = self._finsets[ai]
-        s = cache.get(mask)
-        if s is None:
-            s = FinSet.from_mask(self.ambients[ai], mask)
-            cache[mask] = s
-        return s
 
     def column(self, ai: int, slot: int) -> list:
         """The sets of one slot of one ambient, indexed by digit: the
@@ -380,11 +372,11 @@ class _Context:
         col = self._columns.get((ai, last))
         if col is None:
             space = self.spaces[ai]
-            col = []
-            for digit in range(space.bases[slot]):
-                mask = space.digit_to_mask(slot, digit)
-                passes = _mask_passes(self, ai, slot, mask)
-                col.append(self.finset(ai, mask) if passes else None)
+            decode = FinSet.from_mask  # the column is this slot's memo
+            col = [
+                _admit(self, ai, slot, space.digit_to_mask(slot, digit), decode)
+                for digit in range(space.bases[slot])
+            ]
             self._columns[(ai, last)] = col
         return col
 
@@ -395,32 +387,36 @@ class _Context:
         raise IndexError(flat)
 
 
-_CTX_CACHE: dict = {}
-
-
+@lru_cache(maxsize=1)
 def _context(spec_json: str) -> _Context:
-    ctx = _CTX_CACHE.get(spec_json)
-    if ctx is None:
-        ctx = _Context(SearchSpec.from_json(json.loads(spec_json)))
-        _CTX_CACHE[spec_json] = ctx
-    return ctx
+    """The context of the one search running; forked workers inherit the
+    one run_search built."""
+    return _Context(SearchSpec.from_json(json.loads(spec_json)))
 
 
-def _mask_passes(ctx: _Context, ai: int, slot: int, mask: int) -> bool:
+@lru_cache(maxsize=MEMO_SIZE)
+def _decode(ambient: Ambient, mask: int) -> FinSet:
+    """Memo for sampled masks, which no column holds."""
+    return FinSet.from_mask(ambient, mask)
+
+
+def _admit(ctx: _Context, ai: int, slot: int, mask: int, decode):
+    """The set of `mask` in this slot, decoded by `decode`, or None where
+    the subset filter rejects it."""
     if ctx.f_nonempty and mask == 0:
-        return False
+        return None
     if ctx.f_max_size is not None and mask.bit_count() > ctx.f_max_size:
-        return False
-    if slot == ctx.spec.n_summands - 1:
-        if ctx.f_identity:
-            a = ctx.ambients[ai]
-            if not a.axioms.has_identity:
-                return False
-            if not (mask >> a.index_of(a.identity)) & 1:
-                return False
-        if ctx.f_commutative and not is_commutative_generated(ctx.finset(ai, mask)):
-            return False
-    return True
+        return None
+    a = ctx.ambients[ai]
+    last = slot == ctx.spec.n_summands - 1
+    if last and ctx.f_identity and not (
+        a.axioms.has_identity and (mask >> a.index_of(a.identity)) & 1
+    ):
+        return None
+    X = decode(a, mask)
+    if last and ctx.f_commutative and not is_commutative_generated(X):
+        return None
+    return X
 
 
 def _sweep(ctx: _Context, ai: int, heads, tail: list, tally: dict):
@@ -492,9 +488,9 @@ def _sample_instance(ctx: _Context, index: int):
     sets = []
     for slot in range(ctx.spec.n_summands):
         for _ in range(100000):
-            m = rng.getrandbits(n)
-            if _mask_passes(ctx, ai, slot, m):
-                sets.append(ctx.finset(ai, m))
+            X = _admit(ctx, ai, slot, rng.getrandbits(n), _decode)
+            if X is not None:
+                sets.append(X)
                 break
         else:
             raise SpecInvalid("subset filters rejected 100000 straight samples")

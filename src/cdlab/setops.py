@@ -19,6 +19,10 @@ from .extnat import INF, ExtNat
 
 DEFAULT_BUDGET = 10**6
 
+# Entries kept by each memo (functools.lru_cache); it covers the largest
+# column an exhaustive search walks, the 8,192 subsets of Z13.
+MEMO_SIZE = 1 << 14
+
 
 def _bits(mask):
     while mask:

@@ -16,12 +16,13 @@ the additive lower bound on the original pair.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .errors import (
     BudgetExceeded,
-    CdlabError,
     EmptySet,
+    InvariantBroken,
     PreconditionViolated,
     WrongAmbient,
 )
@@ -29,7 +30,9 @@ from .extnat import INF, ExtNat, encode_extnat
 from .gamma import gamma_set, gamma_tuple, normalize_pair
 from .setops import (
     DEFAULT_BUDGET,
+    MEMO_SIZE,
     FinSet,
+    _sorted_finset,
     generated,
     generated_sym,
     intersection,
@@ -67,15 +70,10 @@ def _require(cond: bool, why: str):
         raise PreconditionViolated(why)
 
 
-_CLOSURE_CACHE: dict = {}
-
-
+@lru_cache(maxsize=MEMO_SIZE)
 def _closure_pair(S: FinSet, budget: int):
     """(closure of S, closure of S with unit inverses adjoined), or None
-    when the closure is provably infinite.  Cached for finite ambients."""
-    hit = _CLOSURE_CACHE.get(S)
-    if hit is not None:
-        return hit
+    when the closure is provably infinite."""
     a = S.ambient
     base = set(S.elements)
     for x in S.elements:
@@ -89,10 +87,7 @@ def _closure_pair(S: FinSet, budget: int):
     sym = generated_sym(S, eff)
     if not (plain.complete and sym.complete):
         raise BudgetExceeded("closure of the set did not stabilize within budget")
-    pair = (plain.closure, sym.closure)
-    if a.carrier_size is not None:
-        _CLOSURE_CACHE[S] = pair
-    return pair
+    return plain.closure, sym.closure
 
 
 def _translate(S: FinSet, y) -> FinSet:
@@ -160,7 +155,7 @@ def davenport_transform(X: FinSet, Y: FinSet, z, budget: int = DEFAULT_BUDGET) -
     y_tilde = FinSet._from_canonical(a, tuple(tilde))
     y_keep = FinSet._from_canonical(a, tuple(keep))
     if not y_tilde.elements:
-        raise CdlabError("gap element produced an empty split; z was not in X + 2Y")
+        raise InvariantBroken("gap element produced an empty split; z was not in X + 2Y")
 
     xy_keep = sumset(X, y_keep)
     z_minus = _z_minus_set(a, z, y_tilde)
@@ -199,7 +194,7 @@ def _z_minus_set(a, z, y_tilde: FinSet) -> FinSet:
         w = a.divide("right", z, y)
         if w is not None:
             out.add(w)
-    return FinSet._from_canonical(a, tuple(sorted(out, key=a.sort_key)))
+    return _sorted_finset(a, out)
 
 
 # -- the dichotomy theorem ---------------------------------------------------
@@ -327,9 +322,7 @@ def check_prop_equiv(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Equi
 def _third_condition(X, Y, xy, yb, budget) -> bool:
     a = X.ambient
     neg = a.invert(yb)
-    shifted = FinSet._from_canonical(
-        a, tuple(sorted((a.add(y, neg) for y in Y.elements), key=a.sort_key))
-    )
+    shifted = _sorted_finset(a, (a.add(y, neg) for y in Y.elements))
     if not X.elements:
         return True  # every side is empty
     closures = _closure_pair(shifted, budget)
@@ -480,7 +473,7 @@ def check_cor_zn(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
         gam = gamma_set(Y, budget).value
         detail["gamma_y"] = encode_extnat(gam)
         if gam != n // delta:
-            raise CdlabError(
+            raise InvariantBroken(
                 f"gamma(Y) = {gam} disagrees with n/delta = {n // delta}"
             )
     xy = sumset(X, Y)
@@ -638,7 +631,7 @@ def descent(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> DescentTrace:
             pair = davenport_transform(t.x0, t.y0, z, budget)
             ledger_ok = pair.ledger
             if len(pair.y_keep) >= len(t.y0):
-                raise CdlabError("transform failed to shrink Y")
+                raise InvariantBroken("transform failed to shrink Y")
             steps.append(
                 DescentStep(
                     x_size=len(cur_x.elements),

@@ -134,6 +134,12 @@ def _spec(**fields):
             {"ambient": {"kind": "zmod", "n": 3}, "checker": "udt",
              "sets": [[0], [1]], "budget": "x"}
         )),
+        ("gamma", "--ambient", '{"kind":"cayley","table":[[0]],"labels":5}', "--x", "[0]"),
+        ("gamma", "--ambient", '{"kind":"cayley","table":[[0]],"labels":"a"}', "--x", "[0]"),
+        ("gamma", "--ambient", '{"kind":"free_monoid","alphabet":5}', "--x", '[""]'),
+        ("gamma", "--ambient", '{"kind":"product","factors":5}', "--x", "[]"),
+        ("gamma", "--ambient", Z6, "--sets", "5"),
+        ("check", "--which", "conjecture", "--ambient", Z6, "--sets", "5"),
     ],
 )
 def test_malformed_field_types_exit_2(capsys, argv):
@@ -142,13 +148,25 @@ def test_malformed_field_types_exit_2(capsys, argv):
     assert err.startswith("cdlab: ") and err.count("\n") == 1
 
 
+def test_broken_invariant_exits_3(capsys, monkeypatch):
+    from cdlab import theorems
+    from cdlab.gamma import GammaValue
+
+    monkeypatch.setattr(theorems, "gamma_set", lambda Y, budget: GammaValue(5))
+    status, out, err = run_cli(
+        capsys, "check", "--which", "zn", "--ambient", Z6, "--x", "[0]", "--y", "[0,2]"
+    )
+    assert status == 3 and out == ""
+    assert err.startswith("cdlab: internal error: ") and err.count("\n") == 1
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 2
 
 
-def test_violation_exits_1(capsys, monkeypatch):
+def test_violation_exits_1(capsys, monkeypatch, fresh_context):
     from cdlab import search as search_mod
     from cdlab.theorems import BoundReport
 
@@ -160,7 +178,6 @@ def test_violation_exits_1(capsys, monkeypatch):
         real.encode,
     )
     monkeypatch.setitem(search_mod.CHECKERS, "udt", fake)
-    monkeypatch.setattr(search_mod, "_CTX_CACHE", {})
     status, out, _ = run_cli(
         capsys, "check", "--which", "udt", "--ambient", Z6, "--x", "[0]", "--y", "[1]"
     )

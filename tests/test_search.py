@@ -225,7 +225,7 @@ def test_replay_rejects_tampered_instances():
             replay(bad)
 
 
-def test_violation_instances_replay(monkeypatch):
+def test_violation_instances_replay(monkeypatch, fresh_context):
     # force a fake violation to exercise the encode/replay path end to end
     from cdlab import search as search_mod
     from cdlab.theorems import BoundReport
@@ -243,7 +243,6 @@ def test_violation_instances_replay(monkeypatch):
         "udt",
         search_mod.Checker(2, fake_run, real.ok, real.encode),
     )
-    monkeypatch.setattr(search_mod, "_CTX_CACHE", {})
     rep = run_search(
         SearchSpec(
             family={"kind": "zmod_range", "lo": 3, "hi": 3},
@@ -366,7 +365,7 @@ def _slab_check(monkeypatch, specs):
 
     default = [without_items(s) for s in specs]
     monkeypatch.setattr(search_mod, "_CHUNK_EXHAUSTIVE", 37)
-    monkeypatch.setattr(search_mod, "_CTX_CACHE", {})
+    search_mod._context.cache_clear()
     for spec, want in zip(specs, default):
         got = without_items(spec)
         assert got == want, spec
@@ -379,7 +378,7 @@ def test_slab_edges_match_default_chunks_and_brute_force(monkeypatch):
     _slab_check(monkeypatch, [SearchSpec(**s) for s in _SLAB_SPECS])
 
 
-def test_slab_edges_keep_violation_order(monkeypatch):
+def test_slab_edges_keep_violation_order(monkeypatch, fresh_context):
     from cdlab.theorems import BoundReport
 
     real = search_mod.CHECKERS["udt"]
@@ -393,7 +392,6 @@ def test_slab_edges_keep_violation_order(monkeypatch):
     monkeypatch.setitem(
         search_mod.CHECKERS, "udt", search_mod.Checker(2, fake_run, real.ok, real.encode)
     )
-    monkeypatch.setattr(search_mod, "_CTX_CACHE", {})
     spec = SearchSpec(
         family={"kind": "zmod_range", "lo": 3, "hi": 6},
         checker="udt",
