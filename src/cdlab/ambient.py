@@ -264,7 +264,11 @@ class Cayley(Ambient):
             raise MalformedDescription(
                 f"{len(labels)} labels for a table of size {n}"
             )
-        self.labels = tuple(str(s) for s in labels)
+        if not all(isinstance(s, str) for s in labels) or len(set(labels)) != n:
+            raise MalformedDescription(
+                f"cayley labels must be distinct strings, got {labels!r}"
+            )
+        self.labels = tuple(labels)
         tab = self.table
         for i in range(n):
             ti = tab[i]

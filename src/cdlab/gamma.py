@@ -53,9 +53,13 @@ class GammaValue:
         }
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def gamma_set(X: FinSet, budget: int = DEFAULT_BUDGET) -> GammaValue:
-    """The Cauchy-Davenport constant of a single set."""
+    """The Cauchy-Davenport constant of a single set, memoized per (X, budget)."""
+    return _gamma_set(X, budget)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _gamma_set(X: FinSet, budget: int) -> GammaValue:
     if len(X.elements) <= 1:
         return GammaValue(len(X.elements), None)
     a = X.ambient
@@ -75,6 +79,12 @@ def gamma_set(X: FinSet, budget: int = DEFAULT_BUDGET) -> GammaValue:
             best = inner
             wit = x0
     return GammaValue(best, wit)
+
+
+# the public name reports, clears and bypasses the memo it fronts
+gamma_set.cache_info = _gamma_set.cache_info
+gamma_set.cache_clear = _gamma_set.cache_clear
+gamma_set.__wrapped__ = _gamma_set.__wrapped__
 
 
 def gamma_tuple(Xs, budget: int = DEFAULT_BUDGET) -> ExtNat:

@@ -32,12 +32,11 @@ def _bits(mask):
 
 
 def _mask_capable(a: Ambient) -> bool:
-    size = a.carrier_size
-    if size is None:
-        return False
+    """True when sets of `a` have carrier masks and a mask sumset."""
     if isinstance(a, (ZMod, Cayley)):
         return True
-    return size <= TABLE_CAP
+    size = a.carrier_size
+    return size is not None and size <= TABLE_CAP
 
 
 class FinSet:
@@ -162,29 +161,24 @@ def _sorted_finset(a, items):
 
 
 def _zmod_sumset_mask(mx: int, ys, n: int) -> int:
+    """OR of the rotations of mx by each residue in ys; stops once full."""
     full = (1 << n) - 1
     acc = 0
     for y in ys:
-        if y:
-            acc |= ((mx << y) | (mx >> (n - y))) & full
-        else:
-            acc |= mx
-    return acc
+        acc |= (mx << y) | (mx >> (n - y))
+        if acc & full == full:
+            break
+    return acc & full
 
 
-def _sumset_mask(X: FinSet, Y: FinSet):
-    """Bit-vector of X+Y, or None when this ambient has no mask path."""
-    a = X.ambient
+def _sumset_mask(a: Ambient, mx: int, ys) -> int:
+    """Mask of X+Y over a mask-capable a, from X's mask and Y's elements."""
     if type(a) is ZMod:
-        return _zmod_sumset_mask(X.mask, Y.elements, a.n)
-    if not _mask_capable(a):
-        return None
+        return _zmod_sumset_mask(mx, ys, a.n)
     tbl = a.index_table()
-    if tbl is None:
-        return None
     acc = 0
-    ybits = list(_bits(Y.mask))
-    for xi in _bits(X.mask):
+    ybits = [a.index_of(y) for y in ys]
+    for xi in _bits(mx):
         row = tbl[xi]
         for yi in ybits:
             acc |= 1 << row[yi]
@@ -197,9 +191,8 @@ def sumset(X: FinSet, Y: FinSet) -> FinSet:
     a = X.ambient
     if not X.elements or not Y.elements:
         return FinSet.empty(a)
-    m = _sumset_mask(X, Y)
-    if m is not None:
-        return FinSet.from_mask(a, m)
+    if _mask_capable(a):
+        return FinSet.from_mask(a, _sumset_mask(a, X.mask, Y.elements))
     add = a.add
     out = {add(x, y) for x in X.elements for y in Y.elements}
     return _sorted_finset(a, out)
@@ -211,10 +204,10 @@ def sumset_size(X: FinSet, Y: FinSet) -> int:
         _same_ambient(X, Y)
     if not X.elements or not Y.elements:
         return 0
-    m = _sumset_mask(X, Y)
-    if m is not None:
-        return m.bit_count()
-    add = X.ambient.add
+    a = X.ambient
+    if _mask_capable(a):
+        return _sumset_mask(a, X.mask, Y.elements).bit_count()
+    add = a.add
     return len({add(x, y) for x in X.elements for y in Y.elements})
 
 

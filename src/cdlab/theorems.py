@@ -32,7 +32,9 @@ from .setops import (
     DEFAULT_BUDGET,
     MEMO_SIZE,
     FinSet,
+    _mask_capable,
     _sorted_finset,
+    _sumset_mask,
     generated,
     generated_sym,
     intersection,
@@ -90,9 +92,26 @@ def _closure_pair(S: FinSet, budget: int):
     return plain.closure, sym.closure
 
 
-def _translate(S: FinSet, y) -> FinSet:
-    """S + y for a single element y."""
-    return sumset(S, FinSet.singleton(S.ambient, y))
+def _structure_test(X: FinSet, Y: FinSet):
+    """(|X + Y|, test) where test(y) tells whether X + Y + y = X + 2Y.
+
+    Over a mask-capable ambient both sides are carrier masks and the test
+    is int equality; other ambients compare decoded sets.  The ambient must
+    be cancellative: translation by y is then injective, so no y passes
+    unless |X + 2Y| = |X + Y|.
+    """
+    a = X.ambient
+    if _mask_capable(a):
+        xy = _sumset_mask(a, X.mask, Y.elements)
+        x2y = _sumset_mask(a, xy, Y.elements)
+        size, grew = xy.bit_count(), x2y.bit_count() != xy.bit_count()
+        test = lambda y: _sumset_mask(a, xy, (y,)) == x2y
+    else:
+        xy = sumset(X, Y)
+        x2y = sumset(xy, Y)
+        size, grew = len(xy), len(x2y) != len(xy)
+        test = lambda y: sumset(xy, FinSet.singleton(a, y)) == x2y
+    return size, (lambda y: False) if grew else test
 
 
 # -- Davenport transform -----------------------------------------------------
@@ -240,16 +259,10 @@ def check_theorem_main(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Th
     _require(bool(Y.elements), "the dichotomy needs a nonempty Y")
     _require(is_commutative_generated(Y), "the dichotomy needs commutative <Y>")
     gam = gamma_set(Y, budget).value
-    xy = sumset(X, Y)
-    lhs = len(xy)
+    lhs, structure = _structure_test(X, Y)
     rhs = len(X.elements) + int(min(gam, len(Y.elements) - 1))
     branch_i = lhs >= rhs
-    x2y = sumset(xy, Y)
-    witness = None
-    for yb in units_of(Y).elements:
-        if _translate(xy, yb) == x2y:
-            witness = yb
-            break
+    witness = next((yb for yb in units_of(Y).elements if structure(yb)), None)
     branch_ii = witness is not None
     return TheoremVerdict(
         bound_lhs=lhs,
@@ -301,10 +314,10 @@ def check_prop_equiv(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Equi
     units = units_of(Y).elements
     _require(bool(units), "the equivalence needs a unit in Y")
 
+    _, structure = _structure_test(X, Y)
+    cond_i = any(structure(yb) for yb in units)
+    cond_ii = all(structure(y) for y in Y.elements)
     xy = sumset(X, Y)
-    x2y = sumset(xy, Y)
-    cond_i = any(_translate(xy, yb) == x2y for yb in units)
-    cond_ii = all(_translate(xy, y) == x2y for y in Y.elements)
     cond_iii = all(_third_condition(X, Y, xy, yb, budget) for yb in units)
     agree = cond_i == cond_ii == cond_iii
     witness = None
@@ -476,10 +489,8 @@ def check_cor_zn(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
             raise InvariantBroken(
                 f"gamma(Y) = {gam} disagrees with n/delta = {n // delta}"
             )
-    xy = sumset(X, Y)
-    x2y = sumset(xy, Y)
-    hypothesis_met = any(_translate(xy, y) != x2y for y in Y.elements)
-    lhs = len(xy)
+    lhs, structure = _structure_test(X, Y)
+    hypothesis_met = not all(structure(y) for y in Y.elements)
     rhs = len(X.elements) + min(n // delta, len(Y.elements) - 1)
     if not hypothesis_met:
         return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)

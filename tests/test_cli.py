@@ -140,6 +140,9 @@ def _spec(**fields):
         ("gamma", "--ambient", '{"kind":"product","factors":5}', "--x", "[]"),
         ("gamma", "--ambient", Z6, "--sets", "5"),
         ("check", "--which", "conjecture", "--ambient", Z6, "--sets", "5"),
+        ("gamma", "--ambient", '{"kind":"cayley","table":[[0]],"labels":[[1]]}', "--x", "[0]"),
+        ("gamma", "--ambient", '{"kind":"cayley","table":[[0,1],[1,0]],"labels":["a","a"]}',
+         "--x", "[0]"),
     ],
 )
 def test_malformed_field_types_exit_2(capsys, argv):

@@ -90,3 +90,16 @@ def test_cached_closures_agree_with_uncached(seed):
         want = theorems._closure_pair.__wrapped__(S, DEFAULT_BUDGET)
         assert theorems._closure_pair(S, DEFAULT_BUDGET) == want
         assert theorems._closure_pair(S, DEFAULT_BUDGET) == want  # now a hit
+
+
+def test_gamma_memo_key_ignores_how_the_budget_is_passed():
+    gamma.gamma_set.cache_clear()
+    X = FinSet(make_ambient({"kind": "zmod", "n": 6}), [0, 2, 3])
+    values = {
+        gamma.gamma_set(X),
+        gamma.gamma_set(X, DEFAULT_BUDGET),
+        gamma.gamma_set(X, budget=DEFAULT_BUDGET),
+    }
+    info = gamma.gamma_set.cache_info()
+    assert len(values) == 1
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
