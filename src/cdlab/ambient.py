@@ -243,11 +243,11 @@ class ZMod(Ambient):
 class Cayley(Ambient):
     """A finite semigroup given by its full multiplication table.
 
-    The table is an n by n matrix of indices; entry [i][j] is the index of
-    element i + element j.  Associativity is verified exhaustively at
-    construction (all n**3 triples) and a violating triple is reported;
-    cancellativity, identity, commutativity and units are decided by scans
-    over the same table.
+    The table is an n by n matrix of indices, n at most TABLE_CAP; entry
+    [i][j] is the index of element i + element j.  Associativity is
+    verified exhaustively at construction (all n**3 triples) and a
+    violating triple is reported; cancellativity, identity, commutativity
+    and units are decided by scans over the same table.
     """
 
     kind = "cayley"
@@ -305,6 +305,8 @@ class Cayley(Ambient):
         if not isinstance(table, (list, tuple)) or not table:
             raise MalformedDescription("cayley table must be a nonempty matrix")
         n = len(table)
+        if n > TABLE_CAP:
+            raise MalformedDescription(f"cayley table of size {n} exceeds {TABLE_CAP}")
         rows = []
         for row in table:
             if not isinstance(row, (list, tuple)) or len(row) != n:

@@ -18,7 +18,7 @@ import math
 import multiprocessing
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
 from .ambient import Ambient, ZMod, Product, make_ambient
@@ -190,42 +190,18 @@ class SearchSpec:
     ceiling: int = DEFAULT_CEILING
 
     def to_json(self) -> dict:
-        return {
-            "family": self.family,
-            "checker": self.checker,
-            "n_summands": self.n_summands,
-            "subset_filter": self.subset_filter,
-            "mode": self.mode,
-            "workers": self.workers,
-            "budget": self.budget,
-            "symmetry_reduction": self.symmetry_reduction,
-            "ceiling": self.ceiling,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_json(doc: dict) -> "SearchSpec":
         if not isinstance(doc, dict):
             raise SpecInvalid(f"spec must be an object, got {doc!r}")
-        known = {
-            "family", "checker", "n_summands", "subset_filter", "mode",
-            "workers", "budget", "symmetry_reduction", "ceiling",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {f.name for f in fields(SearchSpec)}
         if unknown:
             raise SpecInvalid(f"unknown spec fields: {sorted(unknown)}")
         if "family" not in doc or "checker" not in doc:
             raise SpecInvalid("spec needs at least a family and a checker")
-        return SearchSpec(
-            family=doc["family"],
-            checker=doc["checker"],
-            n_summands=doc.get("n_summands", 2),
-            subset_filter=doc.get("subset_filter", {}),
-            mode=doc.get("mode", {"kind": "exhaustive"}),
-            workers=doc.get("workers", 1),
-            budget=doc.get("budget", DEFAULT_BUDGET),
-            symmetry_reduction=doc.get("symmetry_reduction", False),
-            ceiling=doc.get("ceiling", DEFAULT_CEILING),
-        )
+        return SearchSpec(**doc)
 
 
 def _int_field(value, what: str, low=None, error=SpecInvalid) -> int:

@@ -1,10 +1,12 @@
 """Finite-subset arithmetic over an ambient.
 
 FinSet is an immutable, canonically ordered set of elements of one ambient.
-For ambients with a small finite carrier every set also has a bit-vector
-over the carrier, and sumsets / difference sets run on masks (shift/OR for
-zmod, table lookups otherwise).  Infinite ambients use per-pair division,
-which is complete because cancellativity makes each solution unique.
+Set arithmetic runs on raw sets.  For zmod and for finite ambients of at
+most TABLE_CAP elements a raw set is the bit-vector over the carrier, and
+sumsets / difference sets run on masks (shift/OR for zmod, table lookups
+otherwise).  Other ambients use frozensets of elements and per-pair
+division, which is complete because cancellativity makes each solution
+unique.
 
 Generated subsemigroups are computed by frontier expansion under a budget;
 order computations consult each kind's analytic infinitude rule first, so
@@ -13,7 +15,7 @@ none of the built-in kinds can run away.
 
 from dataclasses import dataclass
 
-from .ambient import Ambient, Cayley, ZMod, TABLE_CAP
+from .ambient import Ambient, ZMod, TABLE_CAP
 from .errors import AmbientMismatch, BudgetExceeded
 from .extnat import INF, ExtNat
 
@@ -29,14 +31,6 @@ def _bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _mask_capable(a: Ambient) -> bool:
-    """True when sets of `a` have carrier masks and a mask sumset."""
-    if isinstance(a, (ZMod, Cayley)):
-        return True
-    size = a.carrier_size
-    return size is not None and size <= TABLE_CAP
 
 
 class FinSet:
@@ -62,10 +56,6 @@ class FinSet:
         s._mask = mask
         s._hash = None
         return s
-
-    @staticmethod
-    def empty(ambient):
-        return FinSet._from_canonical(ambient, (), 0)
 
     @staticmethod
     def singleton(ambient, x):
@@ -157,7 +147,22 @@ def _sorted_finset(a, items):
     return FinSet._from_canonical(a, tuple(sorted(items, key=a.sort_key)))
 
 
-# -- sumsets ---------------------------------------------------------------
+# -- raw sets ----------------------------------------------------------------
+#
+# A raw set is a carrier mask (an int) or a frozenset of elements.  Both
+# forms support |, & and ==, so only _raw, _raw_sumset, _raw_size and
+# _finset tell them apart.
+
+
+def _raw(X: FinSet):
+    """X as a raw set; the one place that chooses between the two forms."""
+    a = X.ambient
+    if type(a) is ZMod:
+        return X.mask
+    size = a.carrier_size
+    if size is not None and size <= TABLE_CAP:
+        return X.mask
+    return frozenset(X.elements)
 
 
 def _zmod_sumset_mask(mx: int, ys, n: int) -> int:
@@ -171,44 +176,51 @@ def _zmod_sumset_mask(mx: int, ys, n: int) -> int:
     return acc & full
 
 
-def _sumset_mask(a: Ambient, mx: int, ys) -> int:
-    """Mask of X+Y over a mask-capable a, from X's mask and Y's elements."""
+def _raw_sumset(a: Ambient, r, ys):
+    """X + Y as a raw set, from X's raw set r and Y's elements."""
+    if type(r) is not int:
+        add = a.add
+        return frozenset([add(x, y) for x in r for y in ys])
     if type(a) is ZMod:
-        return _zmod_sumset_mask(mx, ys, a.n)
+        return _zmod_sumset_mask(r, ys, a.n)
     tbl = a.index_table()
     acc = 0
     ybits = [a.index_of(y) for y in ys]
-    for xi in _bits(mx):
+    for xi in _bits(r):
         row = tbl[xi]
         for yi in ybits:
             acc |= 1 << row[yi]
     return acc
 
 
+def _raw_size(r) -> int:
+    return r.bit_count() if type(r) is int else len(r)
+
+
+def _finset(a: Ambient, r) -> FinSet:
+    """The FinSet of raw set r."""
+    if type(r) is int:
+        return FinSet.from_mask(a, r)
+    return _sorted_finset(a, r)
+
+
+# -- sumsets ---------------------------------------------------------------
+
+
 def sumset(X: FinSet, Y: FinSet) -> FinSet:
     """X + Y = {x + y : x in X, y in Y}; empty if either operand is."""
     _same_ambient(X, Y)
     a = X.ambient
-    if not X.elements or not Y.elements:
-        return FinSet.empty(a)
-    if _mask_capable(a):
-        return FinSet.from_mask(a, _sumset_mask(a, X.mask, Y.elements))
-    add = a.add
-    out = {add(x, y) for x in X.elements for y in Y.elements}
-    return _sorted_finset(a, out)
+    return _finset(a, _raw_sumset(a, _raw(X), Y.elements))
 
 
 def sumset_size(X: FinSet, Y: FinSet) -> int:
-    """|X + Y| without materializing the set when a mask path exists."""
+    """|X + Y| without materializing the set."""
     if X.ambient is not Y.ambient:
         _same_ambient(X, Y)
-    if not X.elements or not Y.elements:
-        return 0
-    a = X.ambient
-    if _mask_capable(a):
-        return _sumset_mask(a, X.mask, Y.elements).bit_count()
-    add = a.add
-    return len({add(x, y) for x in X.elements for y in Y.elements})
+    r = _raw_sumset(X.ambient, _raw(X), Y.elements)
+    # _raw_size inlined: this runs once per instance of the udt checker
+    return r.bit_count() if type(r) is int else len(r)
 
 
 def iterated_sumset(n: int, X: FinSet) -> FinSet:
@@ -234,56 +246,44 @@ def difference(side: str, X: FinSet, Y: FinSet) -> FinSet:
         raise ValueError(f"side must be 'right' or 'left', not {side!r}")
     _same_ambient(X, Y)
     a = X.ambient
-    if not X.elements or not Y.elements:
-        return FinSet.empty(a)
-    if isinstance(a, ZMod):
+    rx = _raw(X)
+    if type(rx) is not int:
+        div = a.divide
+        out = {div(side, x, y) for x in rx for y in Y.elements}
+        out.discard(None)
+        return _sorted_finset(a, out)
+    if type(a) is ZMod:
         n = a.n
-        m = _zmod_sumset_mask(X.mask, [(n - y) % n for y in Y.elements], n)
-        return FinSet.from_mask(a, m)
-    if _mask_capable(a):
-        # carrier scan: exact for non-cancellative tables as well
-        tbl = a.index_table()
-        mx = X.mask
-        ybits = list(_bits(Y.mask))
-        acc = 0
-        for z in range(a.carrier_size):
-            if side == "right":
-                if any((mx >> tbl[z][yi]) & 1 for yi in ybits):
-                    acc |= 1 << z
-            else:
-                row_hits = any((mx >> tbl[yi][z]) & 1 for yi in ybits)
-                if row_hits:
-                    acc |= 1 << z
-        return FinSet.from_mask(a, acc)
-    div = a.divide
-    out = set()
-    for x in X.elements:
-        for y in Y.elements:
-            z = div(side, x, y)
-            if z is not None:
-                out.add(z)
-    return _sorted_finset(a, out)
+        neg = [(n - y) % n for y in Y.elements]
+        return FinSet.from_mask(a, _zmod_sumset_mask(rx, neg, n))
+    # carrier scan: exact for non-cancellative tables as well
+    tbl = a.index_table()
+    ybits = [a.index_of(y) for y in Y.elements]
+    acc = 0
+    for z in range(a.carrier_size):
+        if side == "right":
+            hit = any((rx >> tbl[z][yi]) & 1 for yi in ybits)
+        else:
+            hit = any((rx >> tbl[yi][z]) & 1 for yi in ybits)
+        if hit:
+            acc |= 1 << z
+    return FinSet.from_mask(a, acc)
 
 
 def union(X: FinSet, Y: FinSet) -> FinSet:
     _same_ambient(X, Y)
-    if not Y.elements:
-        return X
-    if not X.elements:
-        return Y
-    return _sorted_finset(X.ambient, set(X.elements) | set(Y.elements))
-
-
-def is_subset(X: FinSet, Y: FinSet) -> bool:
-    _same_ambient(X, Y)
-    if _mask_capable(X.ambient):
-        return X.mask & ~Y.mask == 0
-    return set(X.elements) <= set(Y.elements)
+    return _finset(X.ambient, _raw(X) | _raw(Y))
 
 
 def intersection(X: FinSet, Y: FinSet) -> FinSet:
     _same_ambient(X, Y)
-    return _sorted_finset(X.ambient, set(X.elements) & set(Y.elements))
+    return _finset(X.ambient, _raw(X) & _raw(Y))
+
+
+def is_subset(X: FinSet, Y: FinSet) -> bool:
+    _same_ambient(X, Y)
+    rx = _raw(X)
+    return rx & _raw(Y) == rx
 
 
 # -- generated subsemigroups and orders -------------------------------------

@@ -32,9 +32,12 @@ from .setops import (
     DEFAULT_BUDGET,
     MEMO_SIZE,
     FinSet,
-    _mask_capable,
+    _raw,
+    _raw_size,
+    _raw_sumset,
+    _same_ambient,
     _sorted_finset,
-    _sumset_mask,
+    difference,
     generated,
     generated_sym,
     intersection,
@@ -93,25 +96,20 @@ def _closure_pair(S: FinSet, budget: int):
 
 
 def _structure_test(X: FinSet, Y: FinSet):
-    """(|X + Y|, test) where test(y) tells whether X + Y + y = X + 2Y.
+    """(raw X + Y, its size, test) where test(y) tells whether
+    X + Y + y = X + 2Y, compared as raw sets.
 
-    Over a mask-capable ambient both sides are carrier masks and the test
-    is int equality; other ambients compare decoded sets.  The ambient must
-    be cancellative: translation by y is then injective, so no y passes
-    unless |X + 2Y| = |X + Y|.
+    The ambient must be cancellative: translation by y is then injective,
+    so no y passes unless |X + 2Y| = |X + Y|, and test is None then.
     """
+    _same_ambient(X, Y)
     a = X.ambient
-    if _mask_capable(a):
-        xy = _sumset_mask(a, X.mask, Y.elements)
-        x2y = _sumset_mask(a, xy, Y.elements)
-        size, grew = xy.bit_count(), x2y.bit_count() != xy.bit_count()
-        test = lambda y: _sumset_mask(a, xy, (y,)) == x2y
-    else:
-        xy = sumset(X, Y)
-        x2y = sumset(xy, Y)
-        size, grew = len(xy), len(x2y) != len(xy)
-        test = lambda y: sumset(xy, FinSet.singleton(a, y)) == x2y
-    return size, (lambda y: False) if grew else test
+    xy = _raw_sumset(a, _raw(X), Y.elements)
+    x2y = _raw_sumset(a, xy, Y.elements)
+    size = _raw_size(xy)
+    if _raw_size(x2y) != size:
+        return xy, size, None
+    return xy, size, lambda y: _raw_sumset(a, xy, (y,)) == x2y
 
 
 # -- Davenport transform -----------------------------------------------------
@@ -177,7 +175,7 @@ def davenport_transform(X: FinSet, Y: FinSet, z, budget: int = DEFAULT_BUDGET) -
         raise InvariantBroken("gap element produced an empty split; z was not in X + 2Y")
 
     xy_keep = sumset(X, y_keep)
-    z_minus = _z_minus_set(a, z, y_tilde)
+    z_minus = difference("right", FinSet.singleton(a, z), y_tilde)
 
     merged = union(xy_keep, z_minus)
     within = is_subset(merged, xy)
@@ -204,16 +202,6 @@ def davenport_transform(X: FinSet, Y: FinSet, z, budget: int = DEFAULT_BUDGET) -
     return DavenportPair(
         z, y_tilde, y_keep, within, disjoint, size_ok, ledger_ok, sides, witnesses
     )
-
-
-def _z_minus_set(a, z, y_tilde: FinSet) -> FinSet:
-    """{z} - Y~ by per-pair right division."""
-    out = set()
-    for y in y_tilde.elements:
-        w = a.divide("right", z, y)
-        if w is not None:
-            out.add(w)
-    return _sorted_finset(a, out)
 
 
 # -- the dichotomy theorem ---------------------------------------------------
@@ -259,10 +247,12 @@ def check_theorem_main(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Th
     _require(bool(Y.elements), "the dichotomy needs a nonempty Y")
     _require(is_commutative_generated(Y), "the dichotomy needs commutative <Y>")
     gam = gamma_set(Y, budget).value
-    lhs, structure = _structure_test(X, Y)
+    _, lhs, structure = _structure_test(X, Y)
     rhs = len(X.elements) + int(min(gam, len(Y.elements) - 1))
     branch_i = lhs >= rhs
-    witness = next((yb for yb in units_of(Y).elements if structure(yb)), None)
+    witness = None
+    if structure is not None:
+        witness = next((yb for yb in units_of(Y).elements if structure(yb)), None)
     branch_ii = witness is not None
     return TheoremVerdict(
         bound_lhs=lhs,
@@ -314,11 +304,11 @@ def check_prop_equiv(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Equi
     units = units_of(Y).elements
     _require(bool(units), "the equivalence needs a unit in Y")
 
-    _, structure = _structure_test(X, Y)
-    cond_i = any(structure(yb) for yb in units)
-    cond_ii = all(structure(y) for y in Y.elements)
-    xy = sumset(X, Y)
-    cond_iii = all(_third_condition(X, Y, xy, yb, budget) for yb in units)
+    xy, _, structure = _structure_test(X, Y)
+    cond_i = structure is not None and any(structure(yb) for yb in units)
+    cond_ii = structure is not None and all(structure(y) for y in Y.elements)
+    rx = _raw(X)
+    cond_iii = all(_third_condition(a, rx, xy, Y, yb, budget) for yb in units)
     agree = cond_i == cond_ii == cond_iii
     witness = None
     if not agree:
@@ -332,22 +322,21 @@ def check_prop_equiv(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Equi
     return EquivalenceVerdict(cond_i, cond_ii, cond_iii, agree, witness)
 
 
-def _third_condition(X, Y, xy, yb, budget) -> bool:
-    a = X.ambient
+def _third_condition(a, rx, xy, Y, yb, budget) -> bool:
+    """X + <<Y - yb>> = X + <Y - yb> = X + Y - yb, from the raw sets
+    rx of X and xy of X + Y."""
+    if not rx:
+        return True  # every side is empty
     neg = a.invert(yb)
     shifted = _sorted_finset(a, (a.add(y, neg) for y in Y.elements))
-    if not X.elements:
-        return True  # every side is empty
     closures = _closure_pair(shifted, budget)
     if closures is None:
         # <Y - yb> is provably infinite, so X + <Y - yb> cannot equal the
         # finite right side
         return False
     plain, sym = closures
-    target = sumset(xy, FinSet.singleton(a, neg))  # X + Y - yb
-    left = sumset(X, sym)
-    mid = sumset(X, plain)
-    return left == mid == target
+    target = _raw_sumset(a, xy, (neg,))
+    return _raw_sumset(a, rx, sym.elements) == _raw_sumset(a, rx, plain.elements) == target
 
 
 # -- corollary checkers --------------------------------------------------------
@@ -417,9 +406,11 @@ def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
         "this bound needs a cancellative monoid",
     )
     _require(is_commutative_generated(Y), "this bound needs commutative <Y>")
+    _same_ambient(X, Y)
     ident = a.identity
-    lhs_set = union(X, sumset(X, Y))
-    lhs = len(lhs_set)
+    rx = _raw(X)
+    lhs_raw = rx | _raw_sumset(a, rx, Y.elements)
+    lhs = _raw_size(lhs_raw)
 
     y0set = union(Y, FinSet.singleton(a, ident))
     gam0 = gamma_set(y0set, budget).value
@@ -443,7 +434,7 @@ def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
         detail["closure"] = "infinite"
     else:
         sym = closures[1]
-        hypothesis_met = lhs_set != sumset(X, sym)
+        hypothesis_met = lhs_raw != _raw_sumset(a, rx, sym.elements)
         detail["closure_size"] = len(sym)
     if not hypothesis_met:
         return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)
@@ -479,6 +470,7 @@ def check_cor_zn(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
     if not isinstance(a, ZMod):
         raise WrongAmbient("this bound is specific to zmod ambients")
     _require(bool(X.elements) and bool(Y.elements), "the bound needs nonempty X and Y")
+    _, lhs, structure = _structure_test(X, Y)
     n = a.n
     delta = delta_y(Y)
     detail = {"delta": delta, "modulus": n, "x_size": len(X.elements), "y_size": len(Y.elements)}
@@ -489,8 +481,7 @@ def check_cor_zn(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
             raise InvariantBroken(
                 f"gamma(Y) = {gam} disagrees with n/delta = {n // delta}"
             )
-    lhs, structure = _structure_test(X, Y)
-    hypothesis_met = not all(structure(y) for y in Y.elements)
+    hypothesis_met = structure is None or not all(structure(y) for y in Y.elements)
     rhs = len(X.elements) + min(n // delta, len(Y.elements) - 1)
     if not hypothesis_met:
         return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)
@@ -521,15 +512,16 @@ def conjecture_holds(Xs, budget: int = DEFAULT_BUDGET) -> BoundReport:
         raise ValueError("the conjectured bound needs at least one set")
     a = Xs[0].ambient
     _require(a.axioms.cancellative, "the conjectured bound assumes cancellativity")
-    acc = Xs[0]
+    gam = gamma_tuple(Xs, budget)  # raises AmbientMismatch before the fold
+    acc = _raw(Xs[0])
     for X in Xs[1:]:
-        acc = sumset(acc, X)
-    gam = gamma_tuple(Xs, budget)
+        acc = _raw_sumset(a, acc, X.elements)
+    lhs = _raw_size(acc)
     additive = sum(len(X.elements) for X in Xs) + 1 - len(Xs)
     rhs = int(min(gam, additive))
     return BoundReport(
-        holds=len(acc) >= rhs,
-        lhs=len(acc),
+        holds=lhs >= rhs,
+        lhs=lhs,
         rhs=rhs,
         detail={
             "gamma_tuple": encode_extnat(gam),

@@ -143,6 +143,9 @@ def _spec(**fields):
         ("gamma", "--ambient", '{"kind":"cayley","table":[[0]],"labels":[[1]]}', "--x", "[0]"),
         ("gamma", "--ambient", '{"kind":"cayley","table":[[0,1],[1,0]],"labels":["a","a"]}',
          "--x", "[0]"),
+        # an associative zero table one row above the cap: rejected before the n^3 scan
+        ("gamma", "--ambient", json.dumps({"kind": "cayley", "table": [[0] * 513] * 513}),
+         "--x", "[0]"),
     ],
 )
 def test_malformed_field_types_exit_2(capsys, argv):

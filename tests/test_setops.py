@@ -17,10 +17,12 @@ from cdlab import (
     ord_set,
     sumset,
     sumset_size,
+    union,
     units_of,
 )
 from cdlab.errors import AmbientMismatch
-from cdlab import fixtures
+from cdlab import fixtures, setops
+from cdlab.setops import intersection, is_subset
 
 Z4 = make_ambient({"kind": "zmod", "n": 4})
 Z5 = make_ambient({"kind": "zmod", "n": 5})
@@ -295,3 +297,44 @@ def test_table_ambient_sumset_equals_naive():
             got = set(sumset(FinSet(a, xs), FinSet(a, ys)).elements)
             assert got == oracles.naive_sumset(a, xs, ys)
             assert sumset_size(FinSet(a, xs), FinSet(a, ys)) == len(got)
+
+
+SET_OP_AMBIENTS = [
+    Z6,
+    S3,
+    fixtures.left_zero_band(3),
+    make_ambient(
+        {"kind": "product", "factors": [{"kind": "zmod", "n": 2}, {"kind": "zmod", "n": 3}]}
+    ),
+    make_ambient({"kind": "int_lattice", "dim": 2}),
+    NAT,
+    FM,
+]
+
+
+def _random_elements(a, rng):
+    if a.carrier_size is not None:
+        return {x for x in a.carrier() if rng.random() < 0.4}
+    if a.kind == "free_monoid":
+        words = ["", "a", "b", "aa", "ab", "ba", "bb"]
+        return {w for w in words if rng.random() < 0.4}
+    box = range(-2, 3) if a.kind == "int_lattice" else range(4)
+    return {tuple(rng.choice(box) for _ in range(a.dim)) for _ in range(rng.randrange(4))}
+
+
+@pytest.mark.parametrize("force_elements", [False, True], ids=["raw", "elements"])
+@pytest.mark.parametrize("a", SET_OP_AMBIENTS, ids=lambda a: a.kind + str(a.carrier_size))
+def test_set_operations_match_python_sets(a, force_elements, monkeypatch):
+    if force_elements:
+        monkeypatch.setattr(setops, "_raw", lambda X: frozenset(X.elements))
+    rng = random.Random(f"setops:{a.describe()}")
+    for _ in range(150):
+        xs, ys = _random_elements(a, rng), _random_elements(a, rng)
+        X, Y = FinSet(a, xs), FinSet(a, ys)
+        assert union(X, Y) == FinSet(a, xs | ys)
+        assert intersection(X, Y) == FinSet(a, xs & ys)
+        assert is_subset(X, Y) == (xs <= ys)
+        assert is_subset(intersection(X, Y), X)
+        xy = oracles.naive_sumset(a, xs, ys)
+        assert sumset(X, Y) == FinSet(a, xy)
+        assert sumset_size(X, Y) == len(xy)

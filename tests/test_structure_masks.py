@@ -1,18 +1,23 @@
-"""The structure test X + Y + y = X + 2Y runs on carrier masks where the
-ambient has them; its element path, and the double-loop sumsets of
-tests/oracles.py, are the oracle it is checked against."""
+"""Every checker reads its sumsets as raw sets: carrier masks where the
+ambient has them, frozensets of elements otherwise.  The element form, and
+the double-loop sumsets of tests/oracles.py, are the oracle the mask form
+is checked against."""
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
 import oracles
-from cdlab import FinSet, fixtures, make_ambient, search, theorems, units_of
+from cdlab import FinSet, fixtures, make_ambient, search, setops, theorems, units_of
 from cdlab.errors import CdlabError
 from cdlab.setops import DEFAULT_BUDGET
 
-CHECKER_NAMES = ("theorem", "prop13", "zn")
+CHECKER_NAMES = tuple(search.CHECKERS)
+
+# every module that binds the raw-set helpers
+RAW_USERS = (setops, theorems)
 
 AMBIENTS = [make_ambient({"kind": "zmod", "n": n}) for n in range(1, 10)] + [
     make_ambient(
@@ -58,24 +63,32 @@ def _oracle_witness(X, Y):
     return None
 
 
+def _count_kernel_forms(monkeypatch):
+    """Count raw sumset kernel calls by the form of their first operand."""
+    forms = Counter()
+    kernel = setops._raw_sumset
+
+    def counted(a, r, ys):
+        forms[type(r)] += 1
+        return kernel(a, r, ys)
+
+    for mod in RAW_USERS:
+        monkeypatch.setattr(mod, "_raw_sumset", counted)
+    return forms
+
+
 @pytest.mark.parametrize("a", AMBIENTS, ids=lambda a: a.kind + str(a.carrier_size))
 def test_mask_path_matches_element_path(a, monkeypatch):
     pairs = _pairs(a)
-    calls = []
-    kernel = theorems._sumset_mask
-
-    def counted(*args):
-        calls.append(1)
-        return kernel(*args)
-
-    monkeypatch.setattr(theorems, "_sumset_mask", counted)
+    forms = _count_kernel_forms(monkeypatch)
     fast = [[_outcome(name, X, Y) for name in CHECKER_NAMES] for X, Y in pairs]
-    assert calls, "the mask path was not taken"
+    assert forms[int] and not forms[frozenset], "the mask path was not taken"
 
-    monkeypatch.setattr(theorems, "_mask_capable", lambda ambient: False)
-    calls.clear()
+    for mod in RAW_USERS:
+        monkeypatch.setattr(mod, "_raw", lambda X: frozenset(X.elements))
+    forms.clear()
     slow = [[_outcome(name, X, Y) for name in CHECKER_NAMES] for X, Y in pairs]
-    assert not calls
+    assert forms[frozenset] and not forms[int], "the element path was not taken"
     assert fast == slow
 
 
@@ -99,10 +112,7 @@ def test_structure_witness_is_first_matching_unit(a):
 def test_int_lattice_runs_the_element_path(monkeypatch):
     a = make_ambient({"kind": "int_lattice", "dim": 1})
 
-    def refuse(*args):
-        raise AssertionError("an infinite ambient reached the mask kernel")
-
-    monkeypatch.setattr(theorems, "_sumset_mask", refuse)
+    forms = _count_kernel_forms(monkeypatch)
     rng = random.Random("structure:int_lattice")
     for _ in range(40):
         X = FinSet(a, {(rng.randrange(-4, 5),) for _ in range(rng.randrange(1, 4))})
@@ -113,3 +123,4 @@ def test_int_lattice_runs_the_element_path(monkeypatch):
     X = FinSet(a, [(0,), (1,), (2,)])
     Y = FinSet(a, [(5,)])
     assert theorems.check_theorem_main(X, Y).structure_witness == (5,)
+    assert forms[frozenset] and not forms[int]

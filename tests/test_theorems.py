@@ -22,7 +22,7 @@ from cdlab import (
     sumset,
     units_of,
 )
-from cdlab.errors import EmptySet, PreconditionViolated, WrongAmbient
+from cdlab.errors import AmbientMismatch, EmptySet, PreconditionViolated, WrongAmbient
 from cdlab import fixtures
 
 Z4 = make_ambient({"kind": "zmod", "n": 4})
@@ -384,3 +384,25 @@ def test_descent_invariants_randomized():
             # structure found before any transform happened
             assert v.branch_ii
         ran += 1
+
+
+PAIR_CHECKERS = [
+    check_theorem_main,
+    check_prop_equiv,
+    check_cor_udt,
+    check_cor_hs,
+    check_cor_zn,
+    check_weaker_bound,
+]
+
+
+@pytest.mark.parametrize("n, m", [(5, 7), (7, 5), (5, 3), (3, 5)])
+def test_sets_from_different_ambients_are_rejected(n, m):
+    # the top residues, so a mask kernel given the other modulus misbehaves
+    X = FinSet(make_ambient({"kind": "zmod", "n": n}), [0, n - 1])
+    Y = FinSet(make_ambient({"kind": "zmod", "n": m}), [0, m - 1])
+    with pytest.raises(AmbientMismatch):
+        conjecture_holds([X, Y])
+    for check in PAIR_CHECKERS:
+        with pytest.raises(AmbientMismatch):
+            check(X, Y)
