@@ -29,7 +29,6 @@ from .setops import (
     MEMO_SIZE,
     FinSet,
     _same_ambient,
-    _sorted_finset,
     ord_elem,
     sumset,
     sumset_size,
@@ -141,7 +140,7 @@ def invariant_transform(X: FinSet, Y: FinSet, y0, budget: int = DEFAULT_BUDGET) 
         raise NotAUnit(f"{y0!r} is not a unit member of Y")
     neg = a.invert(y0)
     x0 = sumset(X, FinSet.singleton(a, y0))
-    y0set = _sorted_finset(a, {a.add(neg, y) for y in Y.elements})
+    y0set = FinSet(a, [a.add(neg, y) for y in Y.elements])
     s1 = sumset_size(X, Y) == sumset_size(x0, y0set)
     s2 = len(X) == len(x0) and len(Y) == len(y0set)
     s3 = (

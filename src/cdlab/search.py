@@ -13,6 +13,7 @@ Violations embed the full ambient description and set encodings, so
 state.
 """
 
+import itertools
 import json
 import math
 import multiprocessing
@@ -147,7 +148,7 @@ def enumerate_abelian_groups(max_order: int):
         else:
             primes = sorted(_factorize(m).items())
             choices = [list(_partitions(e)) for _, e in primes]
-            for combo in _product_lists(choices):
+            for combo in itertools.product(*choices):
                 depth = max(len(part) for part in combo)
                 invariant = []
                 for i in range(depth):
@@ -163,15 +164,6 @@ def enumerate_abelian_groups(max_order: int):
             else:
                 out.append(Product(ZMod(d) for d in factors))
     return out
-
-
-def _product_lists(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for rest in _product_lists(lists[1:]):
-            yield (head,) + rest
 
 
 # -- search specification ---------------------------------------------------------
@@ -285,32 +277,29 @@ def _validate_spec(spec: SearchSpec):
 # -- instance geometry -------------------------------------------------------------
 
 
-def _insert_identity_bit(j: int, pos: int) -> int:
-    low = j & ((1 << pos) - 1)
-    high = (j >> pos) << (pos + 1)
-    return high | low | (1 << pos)
-
-
 class _Space:
-    """Digit bases of the subset-mask tuples of one ambient; slot 0 varies
-    fastest.  With symmetry reduction the last slot runs over the empty
-    mask plus the masks containing the identity."""
+    """The masks each slot of one ambient runs over, and their counts (the
+    digit bases of an instance index); slot 0 varies fastest.  With
+    symmetry reduction the last slot runs over the empty mask plus the
+    masks containing the identity."""
 
     def __init__(self, ambient: Ambient, n_summands: int, reduced: bool):
         n = ambient.carrier_size
-        self.reduced = reduced
+        self.full = range(1 << n)
         self.bases = [1 << n] * n_summands
+        self.id_index = None
         if reduced:
             self.id_index = ambient.index_of(ambient.identity)
             self.bases[-1] = (1 << (n - 1)) + 1
         self.total = math.prod(self.bases)
 
-    def digit_to_mask(self, slot: int, digit: int) -> int:
-        if self.reduced and slot == len(self.bases) - 1:
-            if digit == 0:
-                return 0
-            return _insert_identity_bit(digit - 1, self.id_index)
-        return digit
+    def masks(self, slot: int):
+        """The masks of one slot, indexed by digit.  Built on demand, so a
+        spec over the ceiling fails before any list of 2^n masks exists."""
+        i = self.id_index
+        if i is None or slot < len(self.bases) - 1:
+            return self.full
+        return [0] + [m for m in self.full if m >> i & 1]
 
 
 # -- worker ------------------------------------------------------------------------
@@ -349,10 +338,7 @@ class _Context:
         if col is None:
             space = self.spaces[ai]
             decode = FinSet.from_mask  # the column is this slot's memo
-            col = [
-                _admit(self, ai, slot, space.digit_to_mask(slot, digit), decode)
-                for digit in range(space.bases[slot])
-            ]
+            col = [_admit(self, ai, slot, m, decode) for m in space.masks(slot)]
             self._columns[(ai, last)] = col
         return col
 

@@ -1,12 +1,12 @@
 """Finite-subset arithmetic over an ambient.
 
-FinSet is an immutable, canonically ordered set of elements of one ambient.
-Set arithmetic runs on raw sets.  For zmod and for finite ambients of at
-most TABLE_CAP elements a raw set is the bit-vector over the carrier, and
-sumsets / difference sets run on masks (shift/OR for zmod, table lookups
-otherwise).  Other ambients use frozensets of elements and per-pair
-division, which is complete because cancellativity makes each solution
-unique.
+FinSet is an immutable, canonically ordered set of elements of one ambient
+that carries its raw set, chosen once when the set is built.  For zmod and
+for finite ambients of at most TABLE_CAP elements a raw set is the
+bit-vector over the carrier, and sumsets / difference sets run on masks
+(shift/OR for zmod, table lookups otherwise).  Other ambients use
+frozensets of elements and per-pair division, which is complete because
+cancellativity makes each solution unique.
 
 Generated subsemigroups are computed by frontier expansion under a budget;
 order computations consult each kind's analytic infinitude rule first, so
@@ -33,10 +33,43 @@ def _bits(mask):
         mask ^= low
 
 
-class FinSet:
-    """A duplicate-free, canonically ordered set of ambient elements."""
+def _mask_form(a: Ambient) -> bool:
+    """True when sets over `a` are carrier masks, False when they are
+    frozensets of elements; the one place that chooses the form."""
+    if type(a) is ZMod:
+        return True
+    size = a.carrier_size
+    return size is not None and size <= TABLE_CAP
 
-    __slots__ = ("ambient", "elements", "_mask", "_hash")
+
+def _raw_of(a: Ambient, items):
+    """The raw set of some elements of `a`, which must be valid."""
+    if not _mask_form(a):
+        return frozenset(items)
+    idx = a.index_of
+    m = 0
+    for x in items:
+        m |= 1 << idx(x)
+    return m
+
+
+def _elements(a: Ambient, raw) -> tuple:
+    """The members of raw set `raw`, in canonical order."""
+    if type(raw) is int:
+        if type(a) is ZMod:
+            return tuple(_bits(raw))  # residue i is carrier element i
+        carrier = a.carrier()
+        return tuple([carrier[i] for i in _bits(raw)])
+    return tuple(sorted(raw, key=a.sort_key))
+
+
+class FinSet:
+    """A duplicate-free, canonically ordered set of ambient elements.
+
+    `raw` is the set itself, a carrier mask or a frozenset of elements
+    (see _mask_form); `elements` lists it in canonical order."""
+
+    __slots__ = ("ambient", "raw", "elements", "_hash")
 
     def __init__(self, ambient: Ambient, items=()):
         seen = set()
@@ -44,44 +77,40 @@ class FinSet:
             ambient.validate(x)
             seen.add(x)
         self.ambient = ambient
-        self.elements = tuple(sorted(seen, key=ambient.sort_key))
-        self._mask = None
+        self.raw = raw = _raw_of(ambient, seen)
+        self.elements = _elements(ambient, raw)
         self._hash = None
 
     @staticmethod
-    def _from_canonical(ambient, elements, mask=None):
+    def _of(a: Ambient, raw) -> "FinSet":
+        """The FinSet of raw set `raw` over `a`."""
         s = object.__new__(FinSet)
-        s.ambient = ambient
-        s.elements = elements
-        s._mask = mask
+        s.ambient = a
+        s.raw = raw
+        s.elements = _elements(a, raw)
         s._hash = None
         return s
 
     @staticmethod
     def singleton(ambient, x):
-        ambient.validate(x)
-        return FinSet._from_canonical(ambient, (x,))
+        return FinSet(ambient, (x,))
 
     @staticmethod
     def from_mask(ambient, mask):
         """Decode a carrier bit-vector; the carrier is in canonical order."""
+        if _mask_form(ambient):
+            return FinSet._of(ambient, mask)
         carrier = ambient.carrier()
-        return FinSet._from_canonical(
-            ambient, tuple(carrier[i] for i in _bits(mask)), mask
-        )
+        return FinSet._of(ambient, frozenset([carrier[i] for i in _bits(mask)]))
 
     @property
     def mask(self) -> int:
-        if self._mask is None:
-            a = self.ambient
-            m = 0
-            for x in self.elements:
-                m |= 1 << a.index_of(x)
-            self._mask = m
-        return self._mask
+        if type(self.raw) is not int:
+            raise ValueError(f"sets over this {self.ambient.kind} are frozensets, not masks")
+        return self.raw
 
     def __len__(self):
-        return len(self.elements)
+        return _raw_size(self.raw)
 
     def __iter__(self):
         return iter(self.elements)
@@ -90,21 +119,21 @@ class FinSet:
         return x in self.elements
 
     def __bool__(self):
-        return bool(self.elements)
+        return bool(self.raw)
 
     def __eq__(self, other):
         if self is other:
             return True
         return (
             isinstance(other, FinSet)
-            and self.elements == other.elements
+            and self.raw == other.raw
             and self.ambient == other.ambient
         )
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.ambient, self.elements))
+            h = self._hash = hash((self.ambient, self.raw))
         return h
 
     def __repr__(self):
@@ -143,26 +172,11 @@ def _same_ambient(X: FinSet, Y: FinSet):
         raise AmbientMismatch("operands live in different ambients")
 
 
-def _sorted_finset(a, items):
-    return FinSet._from_canonical(a, tuple(sorted(items, key=a.sort_key)))
-
-
 # -- raw sets ----------------------------------------------------------------
 #
 # A raw set is a carrier mask (an int) or a frozenset of elements.  Both
-# forms support |, & and ==, so only _raw, _raw_sumset, _raw_size and
-# _finset tell them apart.
-
-
-def _raw(X: FinSet):
-    """X as a raw set; the one place that chooses between the two forms."""
-    a = X.ambient
-    if type(a) is ZMod:
-        return X.mask
-    size = a.carrier_size
-    if size is not None and size <= TABLE_CAP:
-        return X.mask
-    return frozenset(X.elements)
+# forms support |, & and ==, so past _mask_form only the kernel below,
+# _raw_size and _elements tell them apart.
 
 
 def _zmod_sumset_mask(mx: int, ys, n: int) -> int:
@@ -197,13 +211,6 @@ def _raw_size(r) -> int:
     return r.bit_count() if type(r) is int else len(r)
 
 
-def _finset(a: Ambient, r) -> FinSet:
-    """The FinSet of raw set r."""
-    if type(r) is int:
-        return FinSet.from_mask(a, r)
-    return _sorted_finset(a, r)
-
-
 # -- sumsets ---------------------------------------------------------------
 
 
@@ -211,16 +218,14 @@ def sumset(X: FinSet, Y: FinSet) -> FinSet:
     """X + Y = {x + y : x in X, y in Y}; empty if either operand is."""
     _same_ambient(X, Y)
     a = X.ambient
-    return _finset(a, _raw_sumset(a, _raw(X), Y.elements))
+    return FinSet._of(a, _raw_sumset(a, X.raw, Y.elements))
 
 
 def sumset_size(X: FinSet, Y: FinSet) -> int:
     """|X + Y| without materializing the set."""
     if X.ambient is not Y.ambient:
         _same_ambient(X, Y)
-    r = _raw_sumset(X.ambient, _raw(X), Y.elements)
-    # _raw_size inlined: this runs once per instance of the udt checker
-    return r.bit_count() if type(r) is int else len(r)
+    return _raw_size(_raw_sumset(X.ambient, X.raw, Y.elements))
 
 
 def iterated_sumset(n: int, X: FinSet) -> FinSet:
@@ -246,16 +251,16 @@ def difference(side: str, X: FinSet, Y: FinSet) -> FinSet:
         raise ValueError(f"side must be 'right' or 'left', not {side!r}")
     _same_ambient(X, Y)
     a = X.ambient
-    rx = _raw(X)
+    rx = X.raw
     if type(rx) is not int:
         div = a.divide
         out = {div(side, x, y) for x in rx for y in Y.elements}
         out.discard(None)
-        return _sorted_finset(a, out)
+        return FinSet._of(a, frozenset(out))
     if type(a) is ZMod:
         n = a.n
         neg = [(n - y) % n for y in Y.elements]
-        return FinSet.from_mask(a, _zmod_sumset_mask(rx, neg, n))
+        return FinSet._of(a, _zmod_sumset_mask(rx, neg, n))
     # carrier scan: exact for non-cancellative tables as well
     tbl = a.index_table()
     ybits = [a.index_of(y) for y in Y.elements]
@@ -267,23 +272,23 @@ def difference(side: str, X: FinSet, Y: FinSet) -> FinSet:
             hit = any((rx >> tbl[yi][z]) & 1 for yi in ybits)
         if hit:
             acc |= 1 << z
-    return FinSet.from_mask(a, acc)
+    return FinSet._of(a, acc)
 
 
 def union(X: FinSet, Y: FinSet) -> FinSet:
     _same_ambient(X, Y)
-    return _finset(X.ambient, _raw(X) | _raw(Y))
+    return FinSet._of(X.ambient, X.raw | Y.raw)
 
 
 def intersection(X: FinSet, Y: FinSet) -> FinSet:
     _same_ambient(X, Y)
-    return _finset(X.ambient, _raw(X) & _raw(Y))
+    return FinSet._of(X.ambient, X.raw & Y.raw)
 
 
 def is_subset(X: FinSet, Y: FinSet) -> bool:
     _same_ambient(X, Y)
-    rx = _raw(X)
-    return rx & _raw(Y) == rx
+    rx = X.raw
+    return rx & Y.raw == rx
 
 
 # -- generated subsemigroups and orders -------------------------------------
@@ -321,7 +326,7 @@ def generated(X: FinSet, budget: int = DEFAULT_BUDGET) -> GenResult:
             if not complete:
                 break
         frontier = fresh
-    return GenResult(_sorted_finset(a, seen), complete, len(seen))
+    return GenResult(FinSet._of(a, _raw_of(a, seen)), complete, len(seen))
 
 
 def generated_sym(X: FinSet, budget: int = DEFAULT_BUDGET) -> GenResult:
@@ -331,7 +336,7 @@ def generated_sym(X: FinSet, budget: int = DEFAULT_BUDGET) -> GenResult:
     for x in X.elements:
         if a.is_unit(x):
             base.add(a.invert(x))
-    widened = _sorted_finset(a, base)
+    widened = FinSet._of(a, _raw_of(a, base))
     return generated(widened, max(budget, len(base)))
 
 
@@ -378,14 +383,13 @@ def center(X: FinSet, candidates: FinSet = None) -> FinSet:
     if candidates is None:
         if a.carrier_size is None:
             raise ValueError("candidates are required over an infinite ambient")
-        candidates = FinSet._from_canonical(a, a.carrier())
+        pool = a.carrier()
     else:
         _same_ambient(X, candidates)
+        pool = candidates.elements
     add = a.add
-    kept = tuple(
-        z for z in candidates.elements if all(add(x, z) == add(z, x) for x in X.elements)
-    )
-    return FinSet._from_canonical(a, kept)
+    kept = [z for z in pool if all(add(x, z) == add(z, x) for x in X.elements)]
+    return FinSet._of(a, _raw_of(a, kept))
 
 
 def units_of(X: FinSet) -> FinSet:
@@ -393,9 +397,7 @@ def units_of(X: FinSet) -> FinSet:
     a = X.ambient
     if a.all_units:
         return X
-    return FinSet._from_canonical(
-        a, tuple(x for x in X.elements if a.is_unit(x))
-    )
+    return FinSet._of(a, _raw_of(a, [x for x in X.elements if a.is_unit(x)]))
 
 
 def is_commutative_generated(Y: FinSet) -> bool:

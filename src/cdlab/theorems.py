@@ -32,11 +32,10 @@ from .setops import (
     DEFAULT_BUDGET,
     MEMO_SIZE,
     FinSet,
-    _raw,
+    _raw_of,
     _raw_size,
     _raw_sumset,
     _same_ambient,
-    _sorted_finset,
     difference,
     generated,
     generated_sym,
@@ -104,7 +103,7 @@ def _structure_test(X: FinSet, Y: FinSet):
     """
     _same_ambient(X, Y)
     a = X.ambient
-    xy = _raw_sumset(a, _raw(X), Y.elements)
+    xy = _raw_sumset(a, X.raw, Y.elements)
     x2y = _raw_sumset(a, xy, Y.elements)
     size = _raw_size(xy)
     if _raw_size(x2y) != size:
@@ -169,8 +168,8 @@ def davenport_transform(X: FinSet, Y: FinSet, z, budget: int = DEFAULT_BUDGET) -
     for y in Y.elements:
         w = div("right", z, y)
         (tilde if w is not None and w in xyset else keep).append(y)
-    y_tilde = FinSet._from_canonical(a, tuple(tilde))
-    y_keep = FinSet._from_canonical(a, tuple(keep))
+    y_tilde = FinSet(a, tilde)
+    y_keep = FinSet(a, keep)
     if not y_tilde.elements:
         raise InvariantBroken("gap element produced an empty split; z was not in X + 2Y")
 
@@ -307,8 +306,7 @@ def check_prop_equiv(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Equi
     xy, _, structure = _structure_test(X, Y)
     cond_i = structure is not None and any(structure(yb) for yb in units)
     cond_ii = structure is not None and all(structure(y) for y in Y.elements)
-    rx = _raw(X)
-    cond_iii = all(_third_condition(a, rx, xy, Y, yb, budget) for yb in units)
+    cond_iii = all(_third_condition(a, X.raw, xy, Y, yb, budget) for yb in units)
     agree = cond_i == cond_ii == cond_iii
     witness = None
     if not agree:
@@ -328,7 +326,7 @@ def _third_condition(a, rx, xy, Y, yb, budget) -> bool:
     if not rx:
         return True  # every side is empty
     neg = a.invert(yb)
-    shifted = _sorted_finset(a, (a.add(y, neg) for y in Y.elements))
+    shifted = FinSet._of(a, _raw_sumset(a, Y.raw, (neg,)))
     closures = _closure_pair(shifted, budget)
     if closures is None:
         # <Y - yb> is provably infinite, so X + <Y - yb> cannot equal the
@@ -408,11 +406,11 @@ def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
     _require(is_commutative_generated(Y), "this bound needs commutative <Y>")
     _same_ambient(X, Y)
     ident = a.identity
-    rx = _raw(X)
+    rx = X.raw
     lhs_raw = rx | _raw_sumset(a, rx, Y.elements)
     lhs = _raw_size(lhs_raw)
 
-    y0set = union(Y, FinSet.singleton(a, ident))
+    y0set = FinSet._of(a, Y.raw | _raw_of(a, (ident,)))
     gam0 = gamma_set(y0set, budget).value
     indicator = 1 if ident in Y.elements else 0
     rhs = len(X.elements) + int(min(gam0, len(Y.elements) - indicator))
@@ -513,7 +511,7 @@ def conjecture_holds(Xs, budget: int = DEFAULT_BUDGET) -> BoundReport:
     a = Xs[0].ambient
     _require(a.axioms.cancellative, "the conjectured bound assumes cancellativity")
     gam = gamma_tuple(Xs, budget)  # raises AmbientMismatch before the fold
-    acc = _raw(Xs[0])
+    acc = Xs[0].raw
     for X in Xs[1:]:
         acc = _raw_sumset(a, acc, X.elements)
     lhs = _raw_size(acc)

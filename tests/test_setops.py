@@ -326,11 +326,13 @@ def _random_elements(a, rng):
 @pytest.mark.parametrize("a", SET_OP_AMBIENTS, ids=lambda a: a.kind + str(a.carrier_size))
 def test_set_operations_match_python_sets(a, force_elements, monkeypatch):
     if force_elements:
-        monkeypatch.setattr(setops, "_raw", lambda X: frozenset(X.elements))
+        monkeypatch.setattr(setops, "_mask_form", lambda a: False)
+    form = int if setops._mask_form(a) else frozenset
     rng = random.Random(f"setops:{a.describe()}")
     for _ in range(150):
         xs, ys = _random_elements(a, rng), _random_elements(a, rng)
         X, Y = FinSet(a, xs), FinSet(a, ys)
+        assert type(X.raw) is form and type(sumset(X, Y).raw) is form
         assert union(X, Y) == FinSet(a, xs | ys)
         assert intersection(X, Y) == FinSet(a, xs & ys)
         assert is_subset(X, Y) == (xs <= ys)
@@ -338,3 +340,58 @@ def test_set_operations_match_python_sets(a, force_elements, monkeypatch):
         xy = oracles.naive_sumset(a, xs, ys)
         assert sumset(X, Y) == FinSet(a, xy)
         assert sumset_size(X, Y) == len(xy)
+
+
+FORM_AMBIENTS = SET_OP_AMBIENTS + [
+    make_ambient({"kind": "free_monoid", "alphabet": []}),
+    make_ambient({"kind": "product", "factors": [{"kind": "zmod", "n": 2}] * 10}),
+]
+
+
+@pytest.mark.parametrize("a", FORM_AMBIENTS, ids=lambda a: a.kind + str(a.carrier_size))
+def test_construction_routes_agree(a):
+    """FinSet(items), from_mask, from_json, singleton and the kernel outputs
+    build the same set: the same raw set, elements, equality and hash."""
+    finite = a.carrier_size is not None
+    form = int if setops._mask_form(a) else frozenset
+    # zmod, cayley, small products and the one-word free monoid are masks;
+    # Z2^10 has 1,024 elements, above TABLE_CAP
+    assert (form is int) == (finite and a.carrier_size <= setops.TABLE_CAP)
+    ident = a.identity if a.axioms.has_identity else None
+    rng = random.Random(f"routes:{a.describe()}")
+    samples = [set(), *(_random_elements(a, rng) for _ in range(40))]
+    if finite:
+        samples.append(set(a.carrier()))
+    for xs in samples:
+        X = FinSet(a, xs)
+        assert type(X.raw) is form
+        assert X.elements == tuple(sorted(xs, key=a.sort_key))
+        assert len(X) == len(xs) and bool(X) == bool(xs)
+        routes = [
+            FinSet(a, list(X.elements)[::-1]),
+            FinSet.from_json(a, X.to_json()),
+            union(X, FinSet(a)),
+            intersection(X, X),
+        ]
+        if finite:
+            mask = sum(1 << a.index_of(x) for x in xs)
+            routes.append(FinSet.from_mask(a, mask))
+            if form is int:
+                assert X.raw == X.mask == mask
+        if form is frozenset:
+            assert X.raw == frozenset(xs)
+            with pytest.raises(ValueError):
+                X.mask
+        if ident is not None:
+            routes.append(sumset(X, FinSet.singleton(a, ident)))
+        if len(xs) == 1:
+            routes.append(FinSet.singleton(a, X.elements[0]))
+        for R in routes:
+            assert type(R.raw) is form
+            assert R.raw == X.raw and R.elements == X.elements
+            assert R == X and hash(R) == hash(X)
+
+
+def test_sets_over_different_ambients_differ():
+    assert FinSet(Z5, [0, 1]) != FinSet(Z6, [0, 1])
+    assert FinSet(Z5, [0, 1]).raw == FinSet(Z6, [0, 1]).raw
