@@ -8,6 +8,12 @@ items independent of the worker count, so two runs of the same spec agree
 exactly no matter how many workers execute them; random instances are
 derived from the seed and the trial index alone.
 
+An exhaustive range is walked slab by slab: a slab fixes the trailing
+sets and runs slot 0 over a slice of its column.  A checker with a slab
+entry vouches for whole slabs at once from one sumset column and hands
+back only the heads it cannot vouch for, which go through the
+per-instance runner like every head of the other checkers.
+
 Violations embed the full ambient description and set encodings, so
 `replay` can re-run the named checker on the exact instance with no other
 state.
@@ -19,6 +25,7 @@ import math
 import multiprocessing
 import random
 import time
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
@@ -53,21 +60,35 @@ def _plain(verdict, sets):
 class Checker:
     """The one declaration of a checker: fixed arity (None = any), the
     runner, the pass/fail reading of its verdict (None = not applicable,
-    which is never a violation), the JSON encoding of the verdict, and
-    whether its outcome is invariant under replacing (X, Y) by
-    (X + y0, -y0 + Y) for a unit y0 of Y, which justifies pinning the
-    identity into the last slot during exhaustive runs."""
+    which is never a violation), the JSON encoding of the verdict, whether
+    its outcome is invariant under replacing (X, Y) by (X + y0, -y0 + Y)
+    for a unit y0 of Y, which justifies pinning the identity into the last
+    slot during exhaustive runs, and an optional slab entry.
+
+    A slab entry vouches or falls back.  Given the masks of the heads of
+    one exhaustive slab that the subset filter admits (slot 0, in order)
+    and the decoded tail, it returns the heads it cannot vouch for, in
+    order: violations, heads the runner would skip, and heads it cannot
+    decide.  Every other head must be one the runner checks and does not
+    fail.  It returns None when the tail is out of its reach, and then the
+    whole slab goes through the runner."""
 
     arity: object
     run: object                        # (sets, budget) -> verdict object
     ok: object = _holds                # verdict -> bool | None
     encode: object = _plain            # (verdict, sets) -> dict
     translation_invariant: bool = False
+    slab: object = None                # (head masks, tail, budget) -> masks | None
 
 
 def _pair(fn):
     """Runner for a checker of one pair: fn(X, Y, budget)."""
     return lambda sets, budget: fn(sets[0], sets[1], budget)
+
+
+def _pair_slab(fn):
+    """Slab entry for a checker of one pair: fn(head masks, Y, budget)."""
+    return lambda heads, tail, budget: fn(heads, tail[0], budget)
 
 
 CHECKERS = {
@@ -77,10 +98,16 @@ CHECKERS = {
         ok=lambda v: v.disjunction_holds,
         encode=lambda v, sets: v.to_json(sets[0].ambient),
         translation_invariant=True,
+        slab=_pair_slab(theorems.slab_theorem_main),
     ),
     "prop13": Checker(2, _pair(theorems.check_prop_equiv), ok=lambda v: v.agree),
-    "udt": Checker(2, _pair(theorems.check_cor_udt), translation_invariant=True),
-    "hs": Checker(2, _pair(theorems.check_cor_hs)),
+    "udt": Checker(
+        2,
+        _pair(theorems.check_cor_udt),
+        translation_invariant=True,
+        slab=_pair_slab(theorems.slab_cor_udt),
+    ),
+    "hs": Checker(2, _pair(theorems.check_cor_hs), slab=_pair_slab(theorems.slab_cor_hs)),
     "zn": Checker(2, _pair(theorems.check_cor_zn), translation_invariant=True),
     "weaker": Checker(2, _pair(theorems.check_weaker_bound), translation_invariant=True),
     "conjecture": Checker(None, theorems.conjecture_holds, translation_invariant=True),
@@ -328,6 +355,7 @@ class _Context:
         else:
             self.total = spec.mode["trials"]
         self._columns = {}
+        self._admitted = {}
 
     def column(self, ai: int, slot: int) -> list:
         """The sets of one slot of one ambient, indexed by digit: the
@@ -341,6 +369,16 @@ class _Context:
             col = [_admit(self, ai, slot, m, decode) for m in space.masks(slot)]
             self._columns[(ai, last)] = col
         return col
+
+    def admitted(self, ai: int) -> list:
+        """The masks of slot 0 that the subset filter admits, in order.
+        Slot 0 of a pair is never the reduced slot, so they are also the
+        digits of its column."""
+        got = self._admitted.get(ai)
+        if got is None:
+            col = self.column(ai, 0)
+            got = self._admitted[ai] = [m for m, X in enumerate(col) if X is not None]
+        return got
 
     def locate(self, flat: int):
         for ai in range(len(self.spaces) - 1, -1, -1):
@@ -414,6 +452,23 @@ def _sweep(ctx: _Context, ai: int, heads, tail: list, tally: dict):
     tally["skipped"] += skipped
 
 
+def _sweep_slab(ctx: _Context, ai: int, head_col: list, lo: int, hi: int, tail: list, tally: dict):
+    """Sweep the heads [lo, hi) of slot 0 against the tail.  The checker's
+    slab entry, if it has one, vouches for some admitted heads at once, and
+    only the rest go through _sweep."""
+    slab = ctx.checker.slab
+    if slab is not None:
+        admitted = ctx.admitted(ai)
+        i, j = bisect_left(admitted, lo), bisect_left(admitted, hi)
+        pending = slab(admitted[i:j], tail, ctx.spec.budget)
+        if pending is not None:
+            tally["skipped"] += hi - lo - (j - i)
+            tally["checked"] += j - i - len(pending)
+            _sweep(ctx, ai, [head_col[m] for m in pending], tail, tally)
+            return
+    _sweep(ctx, ai, head_col[lo:hi], tail, tally)
+
+
 def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
     """Walk flat indices [start, end) slab by slab: a slab fixes the
     trailing slots and sweeps slot 0 over a slice of its column."""
@@ -436,7 +491,7 @@ def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
             if None in tail:
                 tally["skipped"] += hi - lo
             else:
-                _sweep(ctx, ai, head_col[lo:hi], tail, tally)
+                _sweep_slab(ctx, ai, head_col, lo, hi, tail, tally)
             offset += hi - lo
             slab += 1
             lo = 0

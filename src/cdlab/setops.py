@@ -211,6 +211,20 @@ def _raw_size(r) -> int:
     return r.bit_count() if type(r) is int else len(r)
 
 
+def _raw_column(a: Ambient, ys) -> list:
+    """col[m] = X_m + Y as a mask for every carrier mask m, where X_m is
+    the set of mask m and ys are Y's elements; `a` must be of mask form.
+
+    X + Y is the union of x + Y over x in X, so the column doubles once
+    per carrier element i: the upper half is the lower half OR (i + Y).
+    """
+    col = [0]
+    for i in range(a.carrier_size):
+        r = _raw_sumset(a, 1 << i, ys)
+        col += [c | r for c in col]
+    return col
+
+
 # -- sumsets ---------------------------------------------------------------
 
 

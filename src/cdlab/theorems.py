@@ -21,6 +21,7 @@ from typing import Optional
 
 from .errors import (
     BudgetExceeded,
+    CdlabError,
     EmptySet,
     InvariantBroken,
     PreconditionViolated,
@@ -32,6 +33,7 @@ from .setops import (
     DEFAULT_BUDGET,
     MEMO_SIZE,
     FinSet,
+    _raw_column,
     _raw_of,
     _raw_size,
     _raw_sumset,
@@ -266,6 +268,28 @@ def check_theorem_main(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Th
     )
 
 
+def _column_reach(Y: FinSet) -> bool:
+    """True when a slab entry can take Y: its ambient is cancellative and
+    of mask form, and <Y> is commutative."""
+    a = Y.ambient
+    return type(Y.raw) is int and a.axioms.cancellative and is_commutative_generated(Y)
+
+
+def slab_theorem_main(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
+    """Slab entry of check_theorem_main: the heads X (carrier masks, in
+    order) where branch (i) fails against Y, which only the structure test
+    can settle, or None when Y is out of reach."""
+    if not (Y.elements and _column_reach(Y)):
+        return None
+    try:
+        gam = gamma_set(Y, budget).value
+    except CdlabError:
+        return None
+    col = _raw_column(Y.ambient, Y.elements)
+    d = int(min(gam, len(Y.elements) - 1))
+    return [m for m in heads if col[m].bit_count() < m.bit_count() + d]
+
+
 # -- the structure equivalence ------------------------------------------------
 
 
@@ -389,6 +413,25 @@ def check_cor_udt(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRe
     )
 
 
+def slab_cor_udt(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
+    """Slab entry of check_cor_udt: the heads X (carrier masks, in order)
+    that fail the bound against Y or that the checker skips (the empty X),
+    or None when Y is out of reach."""
+    if not _column_reach(Y):
+        return None
+    try:
+        gam = gamma_set(Y, budget).value
+    except CdlabError:
+        return None
+    a = Y.ambient
+    col = _raw_column(a, Y.elements)
+    ny = len(Y.elements)
+    # need[k] is the right side for |X| = k; nothing meets need[0]
+    need = [min(gam, k + ny - 1) for k in range(a.carrier_size + 1)]
+    need[0] = INF
+    return [m for m in heads if col[m].bit_count() < need[m.bit_count()]]
+
+
 def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundReport:
     """|X u (X + Y)| >= |X| + min(gamma(Y u {0}), |Y| - [0 in Y]) whenever
     X u (X + Y) differs from X + <<Y>>.
@@ -437,6 +480,32 @@ def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
     if not hypothesis_met:
         return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)
     return BoundReport(lhs >= rhs, lhs, rhs, "checked", detail)
+
+
+def slab_cor_hs(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
+    """Slab entry of check_cor_hs: the heads X (carrier masks, in order)
+    that meet the hypothesis and fail the bound against Y, or None when Y
+    is out of reach or its closure does not settle within budget."""
+    a = Y.ambient
+    if not (a.axioms.has_identity and _column_reach(Y)):
+        return None
+    ident = a.identity
+    y0set = FinSet._of(a, Y.raw | _raw_of(a, (ident,)))
+    try:
+        gam0 = gamma_set(y0set, budget).value
+        closures = _closure_pair(Y, budget)
+    except CdlabError:
+        return None
+    if closures is None:
+        return None
+    lhs_col = _raw_column(a, y0set.elements)  # X u (X + Y) = X + (Y u {0})
+    hyp_col = _raw_column(a, closures[1].elements)  # X + <<Y>>
+    d = int(min(gam0, len(Y.elements) - (ident in Y.elements)))
+    return [
+        m
+        for m in heads
+        if lhs_col[m] != hyp_col[m] and lhs_col[m].bit_count() < m.bit_count() + d
+    ]
 
 
 def delta_y(Y: FinSet) -> int:

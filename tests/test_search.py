@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 
@@ -282,6 +283,7 @@ def test_search_report_json_shape():
 
 
 _NONEMPTY = {"nonempty": True}
+_Z2Z4 = {"kind": "product", "factors": [{"kind": "zmod", "n": 2}, {"kind": "zmod", "n": 4}]}
 # every checker, symmetry reduction, each subset filter, one to three
 # summands and product ambients; chunks of 37 end inside slabs of Z6 and Z7
 _SLAB_SPECS = [
@@ -311,6 +313,28 @@ _SLAB_SPECS = [
          subset_filter={"contains_identity": True}),
     dict(family={"kind": "explicit", "ambients": [fixtures.s3().describe()]},
          checker="theorem", subset_filter={"nonempty": True, "commutative_generated": True}),
+    # the checkers with a slab entry, over more ambients and filters
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="hs"),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 7}, checker="hs",
+         subset_filter={"nonempty": True, "max_size": 3}),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="hs",
+         subset_filter={"contains_identity": True}),
+    dict(family={"kind": "explicit", "ambients": [_Z2Z4]}, checker="udt",
+         subset_filter={"max_size": 4}),
+    dict(family={"kind": "explicit", "ambients": [_Z2Z4]}, checker="theorem",
+         subset_filter={"nonempty": True, "max_size": 3}),
+    dict(family={"kind": "explicit", "ambients": [fixtures.s3().describe()]},
+         checker="theorem", subset_filter={"commutative_generated": True}),
+    dict(family={"kind": "explicit", "ambients": [fixtures.s3().describe()]}, checker="hs"),
+    # not cancellative: every slab falls back whole
+    dict(family={"kind": "explicit", "ambients": [fixtures.left_zero_band(3).describe()]},
+         checker="udt"),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="udt",
+         subset_filter={"contains_identity": True}),
+    dict(family={"kind": "abelian_up_to_order", "max_order": 6}, checker="udt",
+         symmetry_reduction=True),
+    dict(family={"kind": "abelian_up_to_order", "max_order": 6}, checker="theorem",
+         subset_filter=_NONEMPTY, symmetry_reduction=True),
 ]
 
 
@@ -357,21 +381,58 @@ def _brute_force(spec):
     return checked, skipped, violations
 
 
-def _slab_check(monkeypatch, specs):
-    def without_items(spec):
-        doc = _stable(run_search(spec))
-        doc.pop("per_item")
-        return doc
+def _slab_reports(monkeypatch, spec):
+    """The reports of spec with the checker's slab entry forced off, then
+    on, and how many heads reached the runner with it on."""
+    name = resolve_checker(spec.checker)
+    chk = search_mod.CHECKERS[name]
+    calls = []
 
-    default = [without_items(s) for s in specs]
-    monkeypatch.setattr(search_mod, "_CHUNK_EXHAUSTIVE", 37)
+    def run(sets, budget):
+        calls.append(1)
+        return chk.run(sets, budget)
+
+    reports = []
+    for slab in (None, chk.slab):
+        monkeypatch.setitem(
+            search_mod.CHECKERS, name, dataclasses.replace(chk, run=run, slab=slab)
+        )
+        search_mod._context.cache_clear()
+        calls.clear()
+        reports.append(run_search(spec))
+    monkeypatch.setitem(search_mod.CHECKERS, name, chk)
     search_mod._context.cache_clear()
+    return reports, len(calls)
+
+
+def _slab_check(monkeypatch, specs):
+    """Each spec's report is the same with slab entries off and on, at the
+    default chunk and at chunk 37, and matches brute force."""
+    default = []
+    for spec in specs:
+        (off, on), _ = _slab_reports(monkeypatch, spec)
+        assert on.stable_json() == off.stable_json(), spec
+        default.append(_stable(on))
+    monkeypatch.setattr(search_mod, "_CHUNK_EXHAUSTIVE", 37)
     for spec, want in zip(specs, default):
-        got = without_items(spec)
+        (off, on), fallback = _slab_reports(monkeypatch, spec)
+        assert on.stable_json() == off.stable_json(), spec
+        got = _stable(on)
+        for doc in (got, want):
+            doc.pop("per_item")
         assert got == want, spec
         checked, skipped, violations = _brute_force(spec)
         assert (got["instances_checked"], got["instances_skipped"]) == (checked, skipped)
         assert [(v["ambient"], v["sets"]) for v in got["violations"]] == violations
+        name = resolve_checker(spec.checker)
+        if spec.workers == 1 and search_mod.CHECKERS[name].slab is not None:
+            total = checked + skipped
+            if all(a.axioms.cancellative for a in family_ambients(spec.family)):
+                assert fallback < total, spec
+            else:
+                assert fallback == total, spec
+            if name == "theorem":
+                assert fallback > 0, spec  # branch (i) fails somewhere
 
 
 def test_slab_edges_match_default_chunks_and_brute_force(monkeypatch):
@@ -398,3 +459,61 @@ def test_slab_edges_keep_violation_order(monkeypatch, fresh_context):
         subset_filter=_NONEMPTY,
     )
     _slab_check(monkeypatch, [spec])
+
+
+def test_slab_path_keeps_violation_order(monkeypatch, fresh_context):
+    # a fake dichotomy that fails wherever branch (ii) rescues the pair;
+    # the slab sends exactly the heads failing branch (i) to the runner
+    real = search_mod.CHECKERS["theorem"]
+
+    def fake_run(sets, budget):
+        v = real.run(sets, budget)
+        if v.branch_ii and not v.branch_i:
+            return dataclasses.replace(v, disjunction_holds=False)
+        return v
+
+    spec = SearchSpec(
+        family={"kind": "zmod_range", "lo": 2, "hi": 6},
+        checker="theorem",
+        subset_filter=_NONEMPTY,
+    )
+    monkeypatch.setitem(
+        search_mod.CHECKERS, "theorem", dataclasses.replace(real, run=fake_run)
+    )
+    (off, on), _ = _slab_reports(monkeypatch, spec)
+    assert on.violations
+    assert json.dumps(on.violations) == json.dumps(off.violations)
+    for v in on.violations:
+        ok, verdict = replay(v)  # replays through the patched checker
+        assert ok is False
+        assert verdict == v["verdict"]
+    _slab_check(monkeypatch, [spec])
+
+
+def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
+    # gamma = inf turns each bound into |X| + |Y| - 1 (or its hs form),
+    # which subgroups violate, so vouching for a failing head shows up as
+    # a missing violation
+    from cdlab import theorems
+    from cdlab.extnat import INF
+    from cdlab.gamma import GammaValue
+
+    monkeypatch.setattr(theorems, "gamma_set", lambda X, budget: GammaValue(INF))
+    specs = [
+        SearchSpec(**s)
+        for s in (
+            dict(family={"kind": "zmod_range", "lo": 2, "hi": 6}, checker="udt"),
+            dict(family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="hs"),
+            dict(family={"kind": "zmod_range", "lo": 2, "hi": 5}, checker="theorem",
+                 subset_filter=_NONEMPTY),
+            dict(family={"kind": "explicit", "ambients": [_Z2Z4]}, checker="udt",
+                 subset_filter={"contains_identity": True, "max_size": 3}),
+            dict(family={"kind": "explicit", "ambients": [fixtures.s3().describe()]},
+                 checker="hs"),
+        )
+    ]
+    for spec in specs[:2]:
+        (off, on), _ = _slab_reports(monkeypatch, spec)
+        assert on.violations
+        assert json.dumps(on.violations) == json.dumps(off.violations)
+    _slab_check(monkeypatch, specs)

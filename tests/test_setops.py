@@ -299,6 +299,33 @@ def test_table_ambient_sumset_equals_naive():
             assert sumset_size(FinSet(a, xs), FinSet(a, ys)) == len(got)
 
 
+COLUMN_AMBIENTS = [make_ambient({"kind": "zmod", "n": n}) for n in range(1, 8)] + [
+    make_ambient(
+        {"kind": "product", "factors": [{"kind": "zmod", "n": 2}, {"kind": "zmod", "n": 4}]}
+    ),
+    S3,
+]
+
+
+@pytest.mark.parametrize("a", COLUMN_AMBIENTS, ids=lambda a: repr(a.describe()))
+def test_raw_column_matches_sumset(a):
+    rng = random.Random(19)
+    carrier = a.carrier()
+    masks = range(1 << a.carrier_size)
+    tails = [(), (rng.choice(carrier),)]
+    tails += [tuple(x for x in carrier if rng.random() < 0.5) for _ in range(3)]
+    for ys in tails:
+        col = setops._raw_column(a, ys)
+        assert col == [setops._raw_sumset(a, m, ys) for m in masks]
+        # X + (Y u {0}) = X u (X + Y), which the hs slab entry relies on
+        Y = FinSet(a, ys)
+        with_identity = union(Y, FinSet.singleton(a, a.identity))
+        with_col = setops._raw_column(a, with_identity.elements)
+        for m in masks:
+            X = FinSet.from_mask(a, m)
+            assert with_col[m] == union(X, sumset(X, Y)).raw == sumset(X, with_identity).raw
+
+
 SET_OP_AMBIENTS = [
     Z6,
     S3,
