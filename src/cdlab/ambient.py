@@ -28,6 +28,7 @@ from .errors import (
     NonAssociativeTable,
     NonCancellativeAmbiguity,
 )
+from .extnat import INF
 
 # Finite ambients at or below this carrier size build an index-addition
 # table on demand so set arithmetic can run on bit masks.
@@ -163,8 +164,6 @@ class Ambient:
     def gen_size_bound(self, elems):
         """Upper bound on the size of the subsemigroup generated by elems;
         INF when that subsemigroup is provably infinite."""
-        from .extnat import INF
-
         if self.carrier_size is not None:
             return self.carrier_size
         elems = list(elems)
@@ -626,8 +625,6 @@ class Product(Ambient):
         return any(f.ord_is_infinite(a) for f, a in zip(self.factors, x))
 
     def gen_size_bound(self, elems):
-        from .extnat import INF
-
         elems = list(elems)
         if not elems:
             return 0

@@ -8,11 +8,13 @@ items independent of the worker count, so two runs of the same spec agree
 exactly no matter how many workers execute them; random instances are
 derived from the seed and the trial index alone.
 
-An exhaustive range is walked slab by slab: a slab fixes the trailing
-sets and runs slot 0 over a slice of its column.  A checker with a slab
-entry vouches for whole slabs at once from one sumset column and hands
-back only the heads it cannot vouch for, which go through the
-per-instance runner like every head of the other checkers.
+An exhaustive range is walked slab by slab over carrier masks: a slab
+fixes the trailing sets and runs slot 0 over a slice of its admitted
+heads.  A checker with a slab entry vouches for whole slabs at once from
+one sumset column and hands back only the heads it cannot vouch for,
+which go through the per-instance runner like every head of the other
+checkers.  A set is decoded only where a runner or a filter reads it:
+the tail of each slab and the heads handed to the runner.
 
 Violations embed the full ambient description and set encodings, so
 `replay` can re-run the named checker on the exact instance with no other
@@ -67,18 +69,18 @@ class Checker:
 
     A slab entry vouches or falls back.  Given the masks of the heads of
     one exhaustive slab that the subset filter admits (slot 0, in order)
-    and the decoded tail, it returns the heads it cannot vouch for, in
-    order: violations, heads the runner would skip, and heads it cannot
-    decide.  Every other head must be one the runner checks and does not
-    fail.  It returns None when the tail is out of its reach, and then the
-    whole slab goes through the runner."""
+    and the decoded tail, it returns the list of heads it cannot vouch
+    for, in order: violations, heads the runner would skip, and heads it
+    cannot decide.  Every other head must be one the runner checks and
+    does not fail.  When the tail is out of its reach it returns every
+    head it was given."""
 
     arity: object
     run: object                        # (sets, budget) -> verdict object
     ok: object = _holds                # verdict -> bool | None
     encode: object = _plain            # (verdict, sets) -> dict
     translation_invariant: bool = False
-    slab: object = None                # (head masks, tail, budget) -> masks | None
+    slab: object = None                # (head masks, tail, budget) -> head masks
 
 
 def _pair(fn):
@@ -319,14 +321,18 @@ class _Space:
             self.id_index = ambient.index_of(ambient.identity)
             self.bases[-1] = (1 << (n - 1)) + 1
         self.total = math.prod(self.bases)
+        self._reduced = None
 
     def masks(self, slot: int):
-        """The masks of one slot, indexed by digit.  Built on demand, so a
-        spec over the ceiling fails before any list of 2^n masks exists."""
+        """The masks of one slot, indexed by digit.  The reduced list is
+        built on first use and kept, so a spec over the ceiling fails
+        before any list of 2^n masks exists."""
         i = self.id_index
         if i is None or slot < len(self.bases) - 1:
             return self.full
-        return [0] + [m for m in self.full if m >> i & 1]
+        if self._reduced is None:
+            self._reduced = [0] + [m for m in self.full if m >> i & 1]
+        return self._reduced
 
 
 # -- worker ------------------------------------------------------------------------
@@ -354,30 +360,18 @@ class _Context:
             self.total = acc
         else:
             self.total = spec.mode["trials"]
-        self._columns = {}
-        self._admitted = {}
+        self._heads = {}
 
-    def column(self, ai: int, slot: int) -> list:
-        """The sets of one slot of one ambient, indexed by digit: the
-        decoded FinSet, or None where the subset filter rejects the mask.
-        Slots other than the last share one column."""
-        last = slot == self.spec.n_summands - 1
-        col = self._columns.get((ai, last))
-        if col is None:
-            space = self.spaces[ai]
-            decode = FinSet.from_mask  # the column is this slot's memo
-            col = [_admit(self, ai, slot, m, decode) for m in space.masks(slot)]
-            self._columns[(ai, last)] = col
-        return col
-
-    def admitted(self, ai: int) -> list:
-        """The masks of slot 0 that the subset filter admits, in order.
-        Slot 0 of a pair is never the reduced slot, so they are also the
-        digits of its column."""
-        got = self._admitted.get(ai)
+    def heads(self, ai: int) -> list:
+        """The digits of slot 0 that the subset filter admits, in order.
+        They are the head masks themselves unless slot 0 is the reduced
+        slot (one summand with symmetry reduction), where they index
+        space.masks(0)."""
+        got = self._heads.get(ai)
         if got is None:
-            col = self.column(ai, 0)
-            got = self._admitted[ai] = [m for m, X in enumerate(col) if X is not None]
+            masks = self.spaces[ai].masks(0)
+            got = [d for d, m in enumerate(masks) if _admits(self, ai, 0, m)]
+            self._heads[ai] = got
         return got
 
     def locate(self, flat: int):
@@ -396,41 +390,36 @@ def _context(spec_json: str) -> _Context:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _decode(ambient: Ambient, mask: int) -> FinSet:
-    """Memo for sampled masks, which no column holds."""
+    """The one memo of decoded sets: exhaustive tails, the heads that
+    reach a runner, and random draws."""
     return FinSet.from_mask(ambient, mask)
 
 
-def _admit(ctx: _Context, ai: int, slot: int, mask: int, decode):
-    """The set of `mask` in this slot, decoded by `decode`, or None where
-    the subset filter rejects it."""
+def _admits(ctx: _Context, ai: int, slot: int, mask: int) -> bool:
+    """Whether the subset filter admits `mask` in this slot; only the
+    commutative_generated test, on the last slot, decodes the set."""
     if ctx.f_nonempty and mask == 0:
-        return None
+        return False
     if ctx.f_max_size is not None and mask.bit_count() > ctx.f_max_size:
-        return None
+        return False
+    if slot != ctx.spec.n_summands - 1:
+        return True
     a = ctx.ambients[ai]
-    last = slot == ctx.spec.n_summands - 1
-    if last and ctx.f_identity and not (
+    if ctx.f_identity and not (
         a.axioms.has_identity and (mask >> a.index_of(a.identity)) & 1
     ):
-        return None
-    X = decode(a, mask)
-    if last and ctx.f_commutative and not is_commutative_generated(X):
-        return None
-    return X
+        return False
+    return not ctx.f_commutative or is_commutative_generated(_decode(a, mask))
 
 
-def _sweep(ctx: _Context, ai: int, heads, tail: list, tally: dict):
+def _sweep(ctx: _Context, ai: int, heads: list, tail: list, tally: dict):
     """Run the checker on (X, *tail) for every X in heads, in order, and
-    add the outcomes to the item's tally; a None head is a mask the subset
-    filter rejected."""
+    add the outcomes to the item's tally."""
     chk = ctx.checker
     run, ok_of = chk.run, chk.ok
     budget = ctx.spec.budget
     checked = skipped = 0
     for X in heads:
-        if X is None:
-            skipped += 1
-            continue
         sets = [X, *tail]
         try:
             verdict = run(sets, budget)
@@ -452,46 +441,42 @@ def _sweep(ctx: _Context, ai: int, heads, tail: list, tally: dict):
     tally["skipped"] += skipped
 
 
-def _sweep_slab(ctx: _Context, ai: int, head_col: list, lo: int, hi: int, tail: list, tally: dict):
-    """Sweep the heads [lo, hi) of slot 0 against the tail.  The checker's
-    slab entry, if it has one, vouches for some admitted heads at once, and
-    only the rest go through _sweep."""
-    slab = ctx.checker.slab
-    if slab is not None:
-        admitted = ctx.admitted(ai)
-        i, j = bisect_left(admitted, lo), bisect_left(admitted, hi)
-        pending = slab(admitted[i:j], tail, ctx.spec.budget)
-        if pending is not None:
-            tally["skipped"] += hi - lo - (j - i)
-            tally["checked"] += j - i - len(pending)
-            _sweep(ctx, ai, [head_col[m] for m in pending], tail, tally)
-            return
-    _sweep(ctx, ai, head_col[lo:hi], tail, tally)
-
-
 def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
     """Walk flat indices [start, end) slab by slab: a slab fixes the
-    trailing slots and sweeps slot 0 over a slice of its column."""
+    trailing slots and sweeps slot 0 over a slice of its digits.  Heads
+    the filter rejects are skipped, heads the checker's slab entry vouches
+    for are checked, and only the tail and the heads left over are
+    decoded and go through _sweep."""
+    slab_entry = ctx.checker.slab
+    budget = ctx.spec.budget
     flat = start
     while flat < end:
         ai, offset = ctx.locate(flat)
+        a = ctx.ambients[ai]
         space = ctx.spaces[ai]
         stop = min(end - ctx.offsets[ai], space.total)
-        cols = [ctx.column(ai, slot) for slot in range(len(space.bases))]
-        trailing = list(zip(cols[1:], space.bases[1:]))
-        head_col, width = cols[0], space.bases[0]
+        heads, head_masks = ctx.heads(ai), space.masks(0)
+        trailing = [(space.masks(s), space.bases[s]) for s in range(1, len(space.bases))]
+        width = space.bases[0]
         slab, lo = divmod(offset, width)
         while offset < stop:
             hi = min(width, lo + stop - offset)
             tail = []
             rest = slab
-            for col, base in trailing:
+            for masks, base in trailing:
                 rest, digit = divmod(rest, base)
-                tail.append(col[digit])
-            if None in tail:
+                tail.append(masks[digit])
+            if not all(_admits(ctx, ai, slot, m) for slot, m in enumerate(tail, 1)):
                 tally["skipped"] += hi - lo
             else:
-                _sweep_slab(ctx, ai, head_col, lo, hi, tail, tally)
+                tail = [_decode(a, m) for m in tail]
+                i, j = bisect_left(heads, lo), bisect_left(heads, hi)
+                tally["skipped"] += hi - lo - (j - i)
+                pending = heads[i:j]
+                if slab_entry is not None:
+                    pending = slab_entry(pending, tail, budget)
+                    tally["checked"] += j - i - len(pending)
+                _sweep(ctx, ai, [_decode(a, head_masks[d]) for d in pending], tail, tally)
             offset += hi - lo
             slab += 1
             lo = 0
@@ -501,13 +486,14 @@ def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
 def _sample_instance(ctx: _Context, index: int):
     rng = random.Random(f"{ctx.spec.mode['seed']}:{index}")
     ai = rng.randrange(len(ctx.ambients))
-    n = ctx.ambients[ai].carrier_size
+    a = ctx.ambients[ai]
+    n = a.carrier_size
     sets = []
     for slot in range(ctx.spec.n_summands):
         for _ in range(100000):
-            X = _admit(ctx, ai, slot, rng.getrandbits(n), _decode)
-            if X is not None:
-                sets.append(X)
+            mask = rng.getrandbits(n)
+            if _admits(ctx, ai, slot, mask):
+                sets.append(_decode(a, mask))
                 break
         else:
             raise SpecInvalid("subset filters rejected 100000 straight samples")

@@ -16,13 +16,13 @@ none of the built-in kinds can run away.
 from dataclasses import dataclass
 
 from .ambient import Ambient, ZMod, TABLE_CAP
-from .errors import AmbientMismatch, BudgetExceeded
+from .errors import AmbientMismatch, BudgetExceeded, ElementAmbientMismatch
 from .extnat import INF, ExtNat
 
 DEFAULT_BUDGET = 10**6
 
 # Entries kept by each memo (functools.lru_cache); it covers the largest
-# column an exhaustive search walks, the 8,192 subsets of Z13.
+# slot an exhaustive search walks, the 8,192 subsets of Z13.
 MEMO_SIZE = 1 << 14
 
 
@@ -97,7 +97,13 @@ class FinSet:
 
     @staticmethod
     def from_mask(ambient, mask):
-        """Decode a carrier bit-vector; the carrier is in canonical order."""
+        """Decode a carrier bit-vector, an int in [0, 2^carrier_size); the
+        carrier is in canonical order."""
+        size = ambient.carrier_size
+        if type(mask) is not int or mask < 0 or (size is not None and mask >> size):
+            raise ElementAmbientMismatch(
+                f"{mask!r} is not a carrier mask of this {ambient.kind} ambient"
+            )
         if _mask_form(ambient):
             return FinSet._of(ambient, mask)
         carrier = ambient.carrier()

@@ -278,13 +278,13 @@ def _column_reach(Y: FinSet) -> bool:
 def slab_theorem_main(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
     """Slab entry of check_theorem_main: the heads X (carrier masks, in
     order) where branch (i) fails against Y, which only the structure test
-    can settle, or None when Y is out of reach."""
+    can settle, or every head when Y is out of reach."""
     if not (Y.elements and _column_reach(Y)):
-        return None
+        return heads
     try:
         gam = gamma_set(Y, budget).value
     except CdlabError:
-        return None
+        return heads
     col = _raw_column(Y.ambient, Y.elements)
     d = int(min(gam, len(Y.elements) - 1))
     return [m for m in heads if col[m].bit_count() < m.bit_count() + d]
@@ -389,13 +389,9 @@ def check_cor_udt(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRe
     """|X + Y| >= min(gamma(Y), |X| + |Y| - 1) for nonempty X and
     commutative <Y> over a cancellative ambient."""
     nx = len(X.elements)
-    if not nx:
-        raise PreconditionViolated("the bound needs a nonempty X")
-    a = X.ambient
-    if not a.axioms.cancellative:
-        raise PreconditionViolated("the bound needs a cancellative ambient")
-    if not (a.axioms.commutative or is_commutative_generated(Y)):
-        raise PreconditionViolated("the bound needs commutative <Y>")
+    _require(nx > 0, "the bound needs a nonempty X")
+    _require(X.ambient.axioms.cancellative, "the bound needs a cancellative ambient")
+    _require(is_commutative_generated(Y), "the bound needs commutative <Y>")
     gam = gamma_set(Y, budget).value
     lhs = sumset_size(X, Y)
     ny = len(Y.elements)
@@ -416,13 +412,13 @@ def check_cor_udt(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRe
 def slab_cor_udt(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
     """Slab entry of check_cor_udt: the heads X (carrier masks, in order)
     that fail the bound against Y or that the checker skips (the empty X),
-    or None when Y is out of reach."""
+    or every head when Y is out of reach."""
     if not _column_reach(Y):
-        return None
+        return heads
     try:
         gam = gamma_set(Y, budget).value
     except CdlabError:
-        return None
+        return heads
     a = Y.ambient
     col = _raw_column(a, Y.elements)
     ny = len(Y.elements)
@@ -484,20 +480,21 @@ def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
 
 def slab_cor_hs(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
     """Slab entry of check_cor_hs: the heads X (carrier masks, in order)
-    that meet the hypothesis and fail the bound against Y, or None when Y
-    is out of reach or its closure does not settle within budget."""
+    that meet the hypothesis and fail the bound against Y, or every head
+    when Y is out of reach or its closure is infinite or does not settle
+    within budget."""
     a = Y.ambient
     if not (a.axioms.has_identity and _column_reach(Y)):
-        return None
+        return heads
     ident = a.identity
     y0set = FinSet._of(a, Y.raw | _raw_of(a, (ident,)))
     try:
         gam0 = gamma_set(y0set, budget).value
         closures = _closure_pair(Y, budget)
     except CdlabError:
-        return None
+        return heads
     if closures is None:
-        return None
+        return heads
     lhs_col = _raw_column(a, y0set.elements)  # X u (X + Y) = X + (Y u {0})
     hyp_col = _raw_column(a, closures[1].elements)  # X + <<Y>>
     d = int(min(gam0, len(Y.elements) - (ident in Y.elements)))

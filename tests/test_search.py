@@ -335,6 +335,9 @@ _SLAB_SPECS = [
          symmetry_reduction=True),
     dict(family={"kind": "abelian_up_to_order", "max_order": 6}, checker="theorem",
          subset_filter=_NONEMPTY, symmetry_reduction=True),
+    # the one reduced slot 0: its digits index the masks holding the identity
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 7}, checker="conjecture",
+         n_summands=1, symmetry_reduction=True),
 ]
 
 
@@ -517,3 +520,74 @@ def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
         assert on.violations
         assert json.dumps(on.violations) == json.dumps(off.violations)
     _slab_check(monkeypatch, specs)
+
+
+def _counted_decodes(monkeypatch):
+    """The masks FinSet.from_mask decodes from now on, with the search's
+    decode memo emptied first."""
+    decoded = []
+    real = FinSet.from_mask
+
+    def from_mask(a, mask):
+        decoded.append((a, mask))
+        return real(a, mask)
+
+    monkeypatch.setattr(FinSet, "from_mask", staticmethod(from_mask))
+    search_mod._decode.cache_clear()
+    return decoded
+
+
+def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_context):
+    # udt vouches for every nonempty head over Z_n, so only the tails,
+    # one per admitted mask of slot 1, are decoded
+    decoded = _counted_decodes(monkeypatch)
+    spec = SearchSpec(
+        family={"kind": "zmod_range", "lo": 2, "hi": 9}, checker="udt", subset_filter=_NONEMPTY
+    )
+    rep = run_search(spec)
+    assert rep.instances_checked == sum((2**n - 1) ** 2 for n in range(2, 10))
+    assert len(decoded) <= sum(2**n - 1 for n in range(2, 10))
+    ctx = search_mod._context(json.dumps(spec.to_json(), sort_keys=True))
+    assert all(type(d) is int for heads in ctx._heads.values() for d in heads)
+
+    # theorem: the tails plus the heads its slab entry hands back
+    chk = search_mod.CHECKERS["theorem"]
+    handed = set()
+
+    def slab(heads, tail, budget):
+        pending = chk.slab(heads, tail, budget)
+        handed.update((tail[0].ambient, m) for m in pending)
+        return pending
+
+    monkeypatch.setitem(search_mod.CHECKERS, "theorem", dataclasses.replace(chk, slab=slab))
+    decoded = _counted_decodes(monkeypatch)
+    rep = run_search(SearchSpec(
+        family={"kind": "zmod_range", "lo": 2, "hi": 7}, checker="theorem", subset_filter=_NONEMPTY
+    ))
+    assert rep.violations == [] and handed
+    assert len(decoded) <= sum(2**n - 1 for n in range(2, 8)) + len(handed)
+
+
+def test_reduced_slot_zero_runs_the_sets_holding_the_identity(monkeypatch, fresh_context):
+    # with one summand, slot 0 is the reduced slot: its digits index the
+    # empty mask and the masks holding the identity, and the runner must
+    # see those sets, in order
+    real = search_mod.CHECKERS["conjecture"]
+    seen = []
+
+    def run(sets, budget):
+        seen.append(sets[0])
+        return real.run(sets, budget)
+
+    monkeypatch.setitem(search_mod.CHECKERS, "conjecture", dataclasses.replace(real, run=run))
+    run_search(SearchSpec(
+        family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="conjecture",
+        n_summands=1, symmetry_reduction=True,
+    ))
+    want = [
+        FinSet.from_mask(a, m)
+        for a in family_ambients({"kind": "zmod_range", "lo": 1, "hi": 6})
+        for m in range(1 << a.carrier_size)
+        if m == 0 or m & 1
+    ]
+    assert seen == want

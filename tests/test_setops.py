@@ -20,7 +20,7 @@ from cdlab import (
     union,
     units_of,
 )
-from cdlab.errors import AmbientMismatch
+from cdlab.errors import AmbientMismatch, ElementAmbientMismatch
 from cdlab import fixtures, setops
 from cdlab.setops import intersection, is_subset
 
@@ -47,6 +47,29 @@ def test_finset_mask_round_trip():
     s = FinSet(Z6, [0, 2, 5])
     assert s.mask == 0b100101
     assert FinSet.from_mask(Z6, s.mask) == s
+
+
+Z3 = make_ambient({"kind": "zmod", "n": 3})
+Z2Z2 = make_ambient({"kind": "product", "factors": [{"kind": "zmod", "n": 2}] * 2})
+Z2_10 = make_ambient({"kind": "product", "factors": [{"kind": "zmod", "n": 2}] * 10})
+MASK_AMBIENTS = [Z3, Z2Z2, S3, Z2_10]
+
+
+@pytest.mark.parametrize("a", MASK_AMBIENTS, ids=lambda a: a.kind + str(a.carrier_size))
+def test_from_mask_decodes_every_carrier_mask(a):
+    carrier = a.carrier()
+    n = len(carrier)
+    for mask in [*range(min(1 << n, 64)), (1 << n) - 1, 1 << (n - 1)]:
+        X = FinSet.from_mask(a, mask)
+        assert X == FinSet(a, [carrier[i] for i in range(n) if mask >> i & 1])
+
+
+@pytest.mark.parametrize("a", MASK_AMBIENTS, ids=lambda a: a.kind + str(a.carrier_size))
+def test_from_mask_rejects_what_is_not_a_carrier_mask(a):
+    n = a.carrier_size
+    for bad in (-1, -(1 << n), 1 << n, 1 << (n + 5), True, False, 1.0, "1", None):
+        with pytest.raises(ElementAmbientMismatch):
+            FinSet.from_mask(a, bad)
 
 
 def test_sumset_examples():
