@@ -451,11 +451,6 @@ class NatLattice(IntLattice):
 
     kind = "nat_lattice"
 
-    def __init__(self, dim: int):
-        super().__init__(dim)
-        zero = (0,) * dim
-        self.axioms = AxiomReport(True, True, True, zero, True, None)
-
     def describe(self):
         return {"kind": "nat_lattice", "dim": self.dim}
 
@@ -648,13 +643,17 @@ class Product(Ambient):
         return tuple(f.decode(a) for f, a in zip(self.factors, v))
 
 
+# each kind's description keys besides "kind", and its builder
 _KINDS = {
-    "zmod": lambda d: ZMod(_field(d, "n")),
-    "cayley": lambda d: Cayley(_field(d, "table"), d.get("labels")),
-    "int_lattice": lambda d: IntLattice(_field(d, "dim")),
-    "nat_lattice": lambda d: NatLattice(_field(d, "dim")),
-    "free_monoid": lambda d: FreeMonoid(_field(d, "alphabet", list)),
-    "product": lambda d: Product(make_ambient(f) for f in _field(d, "factors", list)),
+    "zmod": ({"n"}, lambda d: ZMod(_field(d, "n"))),
+    "cayley": ({"table", "labels"}, lambda d: Cayley(_field(d, "table"), d.get("labels"))),
+    "int_lattice": ({"dim"}, lambda d: IntLattice(_field(d, "dim"))),
+    "nat_lattice": ({"dim"}, lambda d: NatLattice(_field(d, "dim"))),
+    "free_monoid": ({"alphabet"}, lambda d: FreeMonoid(_field(d, "alphabet", list))),
+    "product": (
+        {"factors"},
+        lambda d: Product(make_ambient(f) for f in _field(d, "factors", list)),
+    ),
 }
 
 
@@ -677,6 +676,10 @@ def make_ambient(desc: dict) -> Ambient:
     if not isinstance(desc, dict):
         raise MalformedDescription(f"description must be an object, got {desc!r}")
     kind = desc.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise MalformedDescription(f"unknown ambient kind {kind!r}")
-    return _KINDS[kind](desc)
+    keys, build = _KINDS[kind]
+    unknown = set(desc) - keys - {"kind"}
+    if unknown:
+        raise MalformedDescription(f"unknown {kind} ambient keys: {sorted(unknown)}")
+    return build(desc)

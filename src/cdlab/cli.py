@@ -28,7 +28,7 @@ from .setops import (
     ord_set,
     sumset,
 )
-from .search import CHECKERS, SearchSpec, replay, run_checker, run_search
+from .search import CHECKERS, SearchSpec, _int_field, replay, run_checker, run_search
 from .theorems import davenport_transform, descent
 
 _USAGE_ERRORS = (CdlabError, ValueError, KeyError)
@@ -290,6 +290,8 @@ def main(argv=None) -> int:
     if args.verbose:
         print(f"cdlab: running {args.command}", file=sys.stderr)
     try:
+        if args.budget is not None:
+            _int_field(args.budget, "--budget", 1)
         status, doc = args.fn(args)
     except BudgetExceeded as exc:
         print(f"cdlab: budget exceeded: {exc}", file=sys.stderr)

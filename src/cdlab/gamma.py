@@ -61,23 +61,27 @@ def gamma_set(X: FinSet, budget: int = DEFAULT_BUDGET) -> GammaValue:
 def _gamma_set(X: FinSet, budget: int) -> GammaValue:
     if len(X.elements) <= 1:
         return GammaValue(len(X.elements), None)
-    a = X.ambient
-    elems = X.elements
     best: ExtNat = 0
     wit = None
     for x0 in units_of(X).elements:
-        neg = a.invert(x0)
-        inner: ExtNat = INF
-        for x in elems:
-            if x == x0:
-                continue
-            o = ord_elem(a, a.add(x, neg), budget)
-            if o < inner:
-                inner = o
+        inner = _inf_order(X.ambient, X.elements, x0, budget)
         if inner > best:
             best = inner
             wit = x0
     return GammaValue(best, wit)
+
+
+def _inf_order(a, elems, x0, budget: int) -> ExtNat:
+    """inf over the x in elems other than x0 of ord(x - x0), for a unit x0:
+    the inner infimum of the constant."""
+    neg = a.invert(x0)
+    inner: ExtNat = INF
+    for x in elems:
+        if x != x0:
+            o = ord_elem(a, a.add(x, neg), budget)
+            if o < inner:
+                inner = o
+    return inner
 
 
 # the public name reports, clears and bypasses the memo it fronts
@@ -117,16 +121,6 @@ class InvariantTransform:
     x0: FinSet
     y0: FinSet
     shift: object
-    direction: tuple = ("x0 = X + shift", "y0 = -shift + Y")
-
-    def to_json(self):
-        a = self.x0.ambient
-        return {
-            "x0": self.x0.to_json(),
-            "y0": self.y0.to_json(),
-            "shift": a.encode(self.shift),
-            "direction": list(self.direction),
-        }
 
 
 def invariant_transform(X: FinSet, Y: FinSet, y0, budget: int = DEFAULT_BUDGET) -> InvariantTransform:
@@ -172,26 +166,14 @@ def normalize_pair(X: FinSet, Y: FinSet, kappa: int, budget: int = DEFAULT_BUDGE
     units = units_of(Y).elements
     if not units:
         raise PreconditionViolated("normalization needs a unit in Y")
-    chosen = None
-    for y0 in units:
-        neg = a.invert(y0)
-        ok = True
-        for y in Y.elements:
-            if y == y0:
-                continue
-            if ord_elem(a, a.add(y, neg), budget) < kappa:
-                ok = False
-                break
-        if ok:
-            chosen = y0
-            break
+    elems = Y.elements
+    chosen = next((y0 for y0 in units if _inf_order(a, elems, y0, budget) >= kappa), None)
     if chosen is None:
         raise NoWitness(f"no unit of Y reaches the order threshold {kappa}")
     t = invariant_transform(X, Y, chosen, budget)
     ident = a.identity
     if ident not in t.y0.elements:
         raise InvariantBroken("normalized Y lost the identity")
-    for y in t.y0.elements:
-        if y != ident and ord_elem(a, y, budget) < kappa:
-            raise InvariantBroken("normalized Y kept an element below the threshold")
+    if _inf_order(a, t.y0.elements, ident, budget) < kappa:
+        raise InvariantBroken("normalized Y kept an element below the threshold")
     return t

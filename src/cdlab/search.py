@@ -13,15 +13,16 @@ fixes the trailing sets and runs slot 0 over a slice of its admitted
 heads.  A checker with a slab entry vouches for whole slabs at once from
 one sumset column and hands back only the heads it cannot vouch for,
 which go through the per-instance runner like every head of the other
-checkers.  A set is decoded only where a runner or a filter reads it:
-the tail of each slab and the heads handed to the runner.
+checkers.  When the tail fails the checker's hypotheses the entry raises
+PreconditionViolated and every head of the slab goes to the runner.  A
+set is decoded only where a runner or a filter reads it: the tail of each
+slab and the heads handed to the runner.
 
 Violations embed the full ambient description and set encodings, so
 `replay` can re-run the named checker on the exact instance with no other
 state.
 """
 
-import itertools
 import json
 import math
 import multiprocessing
@@ -39,7 +40,7 @@ from .errors import (
     PreconditionViolated,
     SpecInvalid,
 )
-from .setops import DEFAULT_BUDGET, MEMO_SIZE, FinSet, is_commutative_generated
+from .setops import DEFAULT_BUDGET, MEMO_SIZE, FinSet, _mask_form, is_commutative_generated
 from . import theorems
 
 DEFAULT_CEILING = 1 << 30
@@ -67,13 +68,16 @@ class Checker:
     for a unit y0 of Y, which justifies pinning the identity into the last
     slot during exhaustive runs, and an optional slab entry.
 
-    A slab entry vouches or falls back.  Given the masks of the heads of
-    one exhaustive slab that the subset filter admits (slot 0, in order)
+    A slab entry vouches for heads in bulk.  Given the masks of the heads
+    of one exhaustive slab that the subset filter admits (slot 0, in order)
     and the decoded tail, it returns the list of heads it cannot vouch
     for, in order: violations, heads the runner would skip, and heads it
     cannot decide.  Every other head must be one the runner checks and
-    does not fail.  When the tail is out of its reach it returns every
-    head it was given."""
+    does not fail.  The search calls it only over ambients whose sets are
+    carrier masks.  It raises PreconditionViolated, through the helper it
+    shares with its runner, when the tail fails the runner's hypotheses;
+    the search then sends every head through the runner, which skips
+    them."""
 
     arity: object
     run: object                        # (sets, budget) -> verdict object
@@ -139,29 +143,17 @@ def run_checker(name, sets: list, budget: int):
 # -- abelian group enumeration --------------------------------------------------
 
 
-def _factorize(m: int) -> dict:
-    out = {}
-    d = 2
-    while d * d <= m:
-        while m % d == 0:
-            out[d] = out.get(d, 0) + 1
-            m //= d
-        d += 1
-    if m > 1:
-        out[m] = out.get(m, 0) + 1
-    return out
-
-
-def _partitions(e: int, cap: int = None):
-    """Partitions of e as descending tuples."""
-    if cap is None:
-        cap = e
-    if e == 0:
-        yield ()
-        return
-    for first in range(min(e, cap), 0, -1):
-        for rest in _partitions(e - first, first):
-            yield (first,) + rest
+def _invariant_factors(m: int, d: int = 1):
+    """The chains f1 | f2 | ... | fk with product m, d | f1 and every
+    factor above 1 (the chain (1,) when m = 1): the ascending invariant
+    factors of the abelian groups of order m.  A factor f other than the
+    last leaves m / f, a multiple of f, so f * f <= m."""
+    if m % d == 0:
+        yield (m,)
+    for f in range(d, math.isqrt(m) + 1, d):
+        if f > 1 and m % f == 0:
+            for rest in _invariant_factors(m // f, f):
+                yield (f,) + rest
 
 
 def enumerate_abelian_groups(max_order: int):
@@ -171,23 +163,7 @@ def enumerate_abelian_groups(max_order: int):
         raise ValueError("max_order must be at least 1")
     out = []
     for m in range(1, max_order + 1):
-        classes = []
-        if m == 1:
-            classes.append((1,))
-        else:
-            primes = sorted(_factorize(m).items())
-            choices = [list(_partitions(e)) for _, e in primes]
-            for combo in itertools.product(*choices):
-                depth = max(len(part) for part in combo)
-                invariant = []
-                for i in range(depth):
-                    f = 1
-                    for (p, _), part in zip(primes, combo):
-                        if i < len(part):
-                            f *= p ** part[i]
-                    invariant.append(f)
-                classes.append(tuple(reversed(invariant)))  # ascending
-        for factors in sorted(classes, key=lambda fs: (len(fs), fs)):
+        for factors in sorted(_invariant_factors(m), key=lambda fs: (len(fs), fs)):
             if len(factors) == 1:
                 out.append(ZMod(factors[0]))
             else:
@@ -234,19 +210,29 @@ def _int_field(value, what: str, low=None, error=SpecInvalid) -> int:
     return value
 
 
+def _only_keys(doc: dict, what: str, *keys):
+    """Reject every key of doc other than kind and keys."""
+    unknown = set(doc) - {"kind", *keys}
+    if unknown:
+        raise SpecInvalid(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def family_ambients(family: dict):
     if not isinstance(family, dict) or "kind" not in family:
         raise SpecInvalid(f"malformed ambient family: {family!r}")
     kind = family["kind"]
     if kind == "zmod_range":
+        _only_keys(family, "zmod_range family", "lo", "hi")
         lo = _int_field(family.get("lo"), "zmod_range lo", 1)
         hi = _int_field(family.get("hi"), "zmod_range hi", lo)
         ambients = [ZMod(n) for n in range(lo, hi + 1)]
     elif kind == "abelian_up_to_order":
+        _only_keys(family, "abelian_up_to_order family", "max_order")
         ambients = enumerate_abelian_groups(
             _int_field(family.get("max_order"), "abelian_up_to_order max_order", 1)
         )
     elif kind == "explicit":
+        _only_keys(family, "explicit family", "ambients")
         descs = family.get("ambients")
         if not isinstance(descs, list) or not descs:
             raise SpecInvalid("explicit family needs a nonempty ambient list")
@@ -291,8 +277,11 @@ def _validate_spec(spec: SearchSpec):
     if not isinstance(mode, dict) or mode.get("kind") not in ("exhaustive", "random"):
         raise SpecInvalid("mode must be exhaustive or random")
     if mode["kind"] == "random":
+        _only_keys(mode, "random mode", "seed", "trials")
         _int_field(mode.get("seed"), "random mode seed")
         _int_field(mode.get("trials"), "random mode trials", 1)
+    else:
+        _only_keys(mode, "exhaustive mode")
     ambients = family_ambients(spec.family)
     if spec.symmetry_reduction:
         if not chk.translation_invariant:
@@ -447,12 +436,12 @@ def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
     the filter rejects are skipped, heads the checker's slab entry vouches
     for are checked, and only the tail and the heads left over are
     decoded and go through _sweep."""
-    slab_entry = ctx.checker.slab
     budget = ctx.spec.budget
     flat = start
     while flat < end:
         ai, offset = ctx.locate(flat)
         a = ctx.ambients[ai]
+        slab_entry = ctx.checker.slab if _mask_form(a) else None
         space = ctx.spaces[ai]
         stop = min(end - ctx.offsets[ai], space.total)
         heads, head_masks = ctx.heads(ai), space.masks(0)
@@ -474,7 +463,10 @@ def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
                 tally["skipped"] += hi - lo - (j - i)
                 pending = heads[i:j]
                 if slab_entry is not None:
-                    pending = slab_entry(pending, tail, budget)
+                    try:
+                        pending = slab_entry(pending, tail, budget)
+                    except PreconditionViolated:
+                        pass  # every head goes to the runner, which skips it
                     tally["checked"] += j - i - len(pending)
                 _sweep(ctx, ai, [_decode(a, head_masks[d]) for d in pending], tail, tally)
             offset += hi - lo

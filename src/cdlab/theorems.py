@@ -15,13 +15,12 @@ the additive lower bound on the original pair.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Optional
 
 from .errors import (
     BudgetExceeded,
-    CdlabError,
     EmptySet,
     InvariantBroken,
     PreconditionViolated,
@@ -80,15 +79,10 @@ def _require(cond: bool, why: str):
 def _closure_pair(S: FinSet, budget: int):
     """(closure of S, closure of S with unit inverses adjoined), or None
     when the closure is provably infinite."""
-    a = S.ambient
-    base = set(S.elements)
-    for x in S.elements:
-        if a.is_unit(x):
-            base.add(a.invert(x))
-    bound = a.gen_size_bound(base)
+    bound = S.ambient.gen_size_bound(S.elements)
     if bound == INF:
         return None
-    eff = max(budget, bound, len(base))
+    eff = max(budget, bound)
     plain = generated(S, eff)
     sym = generated_sym(S, eff)
     if not (plain.complete and sym.complete):
@@ -243,13 +237,9 @@ def check_theorem_main(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Th
     """Evaluate branch (i), the additive bound
     |X+Y| >= |X| + min(gamma(Y), |Y|-1), and branch (ii), the structure
     identity X + 2Y = X + Y + y for some unit y of Y, and report both."""
-    a = X.ambient
-    _require(a.axioms.cancellative, "the dichotomy needs a cancellative ambient")
-    _require(bool(Y.elements), "the dichotomy needs a nonempty Y")
-    _require(is_commutative_generated(Y), "the dichotomy needs commutative <Y>")
-    gam = gamma_set(Y, budget).value
+    gam, d = _theorem_rhs(Y, budget)
     _, lhs, structure = _structure_test(X, Y)
-    rhs = len(X.elements) + int(min(gam, len(Y.elements) - 1))
+    rhs = len(X.elements) + d
     branch_i = lhs >= rhs
     witness = None
     if structure is not None:
@@ -268,25 +258,22 @@ def check_theorem_main(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Th
     )
 
 
-def _column_reach(Y: FinSet) -> bool:
-    """True when a slab entry can take Y: its ambient is cancellative and
-    of mask form, and <Y> is commutative."""
-    a = Y.ambient
-    return type(Y.raw) is int and a.axioms.cancellative and is_commutative_generated(Y)
+def _theorem_rhs(Y: FinSet, budget: int):
+    """The hypotheses of the dichotomy on Y, then (gamma(Y), d) with
+    d = min(gamma(Y), |Y| - 1): branch (i) reads |X + Y| >= |X| + d."""
+    _require(Y.ambient.axioms.cancellative, "the dichotomy needs a cancellative ambient")
+    _require(bool(Y.elements), "the dichotomy needs a nonempty Y")
+    _require(is_commutative_generated(Y), "the dichotomy needs commutative <Y>")
+    gam = gamma_set(Y, budget).value
+    return gam, int(min(gam, len(Y.elements) - 1))
 
 
 def slab_theorem_main(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
     """Slab entry of check_theorem_main: the heads X (carrier masks, in
     order) where branch (i) fails against Y, which only the structure test
-    can settle, or every head when Y is out of reach."""
-    if not (Y.elements and _column_reach(Y)):
-        return heads
-    try:
-        gam = gamma_set(Y, budget).value
-    except CdlabError:
-        return heads
+    can settle."""
+    _, d = _theorem_rhs(Y, budget)
     col = _raw_column(Y.ambient, Y.elements)
-    d = int(min(gam, len(Y.elements) - 1))
     return [m for m in heads if col[m].bit_count() < m.bit_count() + d]
 
 
@@ -304,13 +291,7 @@ class EquivalenceVerdict:
     counterwitness: Optional[dict] = None
 
     def to_json(self):
-        return {
-            "cond_i": self.cond_i,
-            "cond_ii": self.cond_ii,
-            "cond_iii": self.cond_iii,
-            "agree": self.agree,
-            "counterwitness": self.counterwitness,
-        }
+        return asdict(self)
 
 
 def check_prop_equiv(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> EquivalenceVerdict:
@@ -376,13 +357,7 @@ class BoundReport:
     detail: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "holds": self.holds,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "status": self.status,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def check_cor_udt(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundReport:
@@ -390,13 +365,8 @@ def check_cor_udt(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRe
     commutative <Y> over a cancellative ambient."""
     nx = len(X.elements)
     _require(nx > 0, "the bound needs a nonempty X")
-    _require(X.ambient.axioms.cancellative, "the bound needs a cancellative ambient")
-    _require(is_commutative_generated(Y), "the bound needs commutative <Y>")
-    gam = gamma_set(Y, budget).value
+    gam, (rhs,) = _udt_rhs(Y, budget, (nx,))
     lhs = sumset_size(X, Y)
-    ny = len(Y.elements)
-    additive = nx + ny - 1
-    rhs = additive if gam > additive else int(gam)
     return BoundReport(
         holds=lhs >= rhs,
         lhs=lhs,
@@ -404,27 +374,29 @@ def check_cor_udt(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRe
         detail={
             "gamma_y": gam if gam != INF else "inf",
             "x_size": nx,
-            "y_size": ny,
+            "y_size": len(Y.elements),
         },
     )
 
 
+def _udt_rhs(Y: FinSet, budget: int, sizes):
+    """The hypotheses of check_cor_udt on Y, then gamma(Y) and the list of
+    right sides min(gamma(Y), k + |Y| - 1), one for each |X| = k in sizes."""
+    _require(Y.ambient.axioms.cancellative, "the bound needs a cancellative ambient")
+    _require(is_commutative_generated(Y), "the bound needs commutative <Y>")
+    gam = gamma_set(Y, budget).value
+    d = len(Y.elements) - 1
+    return gam, [min(gam, k + d) for k in sizes]
+
+
 def slab_cor_udt(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
     """Slab entry of check_cor_udt: the heads X (carrier masks, in order)
-    that fail the bound against Y or that the checker skips (the empty X),
-    or every head when Y is out of reach."""
-    if not _column_reach(Y):
-        return heads
-    try:
-        gam = gamma_set(Y, budget).value
-    except CdlabError:
-        return heads
+    that fail the bound against Y or that the checker skips (the empty X)."""
     a = Y.ambient
-    col = _raw_column(a, Y.elements)
-    ny = len(Y.elements)
     # need[k] is the right side for |X| = k; nothing meets need[0]
-    need = [min(gam, k + ny - 1) for k in range(a.carrier_size + 1)]
+    _, need = _udt_rhs(Y, budget, range(a.carrier_size + 1))
     need[0] = INF
+    col = _raw_column(a, Y.elements)
     return [m for m in heads if col[m].bit_count() < need[m.bit_count()]]
 
 
@@ -437,25 +409,16 @@ def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
     outright; if the closure cannot be settled within budget the status is
     "unknown" rather than a guess.
     """
-    a = X.ambient
-    _require(
-        a.axioms.cancellative and a.axioms.has_identity,
-        "this bound needs a cancellative monoid",
-    )
-    _require(is_commutative_generated(Y), "this bound needs commutative <Y>")
+    _, gam0, d = _hs_rhs(Y, budget)
     _same_ambient(X, Y)
-    ident = a.identity
+    a = X.ambient
     rx = X.raw
     lhs_raw = rx | _raw_sumset(a, rx, Y.elements)
     lhs = _raw_size(lhs_raw)
-
-    y0set = FinSet._of(a, Y.raw | _raw_of(a, (ident,)))
-    gam0 = gamma_set(y0set, budget).value
-    indicator = 1 if ident in Y.elements else 0
-    rhs = len(X.elements) + int(min(gam0, len(Y.elements) - indicator))
+    rhs = len(X.elements) + d
     detail = {
         "gamma_y_with_identity": encode_extnat(gam0),
-        "identity_in_y": bool(indicator),
+        "identity_in_y": a.identity in Y.elements,
         "x_size": len(X.elements),
         "y_size": len(Y.elements),
     }
@@ -478,26 +441,30 @@ def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
     return BoundReport(lhs >= rhs, lhs, rhs, "checked", detail)
 
 
-def slab_cor_hs(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
-    """Slab entry of check_cor_hs: the heads X (carrier masks, in order)
-    that meet the hypothesis and fail the bound against Y, or every head
-    when Y is out of reach or its closure is infinite or does not settle
-    within budget."""
+def _hs_rhs(Y: FinSet, budget: int):
+    """The hypotheses of check_cor_hs on Y, then (Y u {0}, gamma(Y u {0}), d)
+    with d = min(gamma(Y u {0}), |Y| - [0 in Y]): the bound reads
+    |X u (X + Y)| >= |X| + d."""
     a = Y.ambient
-    if not (a.axioms.has_identity and _column_reach(Y)):
-        return heads
+    _require(
+        a.axioms.cancellative and a.axioms.has_identity,
+        "this bound needs a cancellative monoid",
+    )
+    _require(is_commutative_generated(Y), "this bound needs commutative <Y>")
     ident = a.identity
     y0set = FinSet._of(a, Y.raw | _raw_of(a, (ident,)))
-    try:
-        gam0 = gamma_set(y0set, budget).value
-        closures = _closure_pair(Y, budget)
-    except CdlabError:
-        return heads
-    if closures is None:
-        return heads
+    gam0 = gamma_set(y0set, budget).value
+    return y0set, gam0, int(min(gam0, len(Y.elements) - (ident in Y.elements)))
+
+
+def slab_cor_hs(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
+    """Slab entry of check_cor_hs: the heads X (carrier masks, in order)
+    that meet the hypothesis and fail the bound against Y.  The closure of
+    Y over a finite ambient is finite and always settles."""
+    a = Y.ambient
+    y0set, _, d = _hs_rhs(Y, budget)
     lhs_col = _raw_column(a, y0set.elements)  # X u (X + Y) = X + (Y u {0})
-    hyp_col = _raw_column(a, closures[1].elements)  # X + <<Y>>
-    d = int(min(gam0, len(Y.elements) - (ident in Y.elements)))
+    hyp_col = _raw_column(a, _closure_pair(Y, budget)[1].elements)  # X + <<Y>>
     return [
         m
         for m in heads

@@ -146,6 +146,25 @@ def _spec(**fields):
         # an associative zero table one row above the cap: rejected before the n^3 scan
         ("gamma", "--ambient", json.dumps({"kind": "cayley", "table": [[0] * 513] * 513}),
          "--x", "[0]"),
+        # a budget below 1, given on the command line
+        ("gamma", "--ambient", Z6, "--x", "[0,2]", "--budget", "0"),
+        ("gamma", "--ambient", Z6, "--x", "[0,2]", "--budget", "-3"),
+        ("ord", "--ambient", Z6, "--elem", "2", "--budget", "0"),
+        ("descent", "--ambient", Z6, "--x", "[0]", "--y", "[0,1]", "--budget", "-3"),
+        # unknown keys in ambients, families and modes
+        ("gamma", "--ambient", '{"kind":"cayley","table":[[0]],"lables":["a"]}', "--x", "[0]"),
+        ("gamma", "--ambient", '{"kind":"zmod","n":6,"m":2}', "--x", "[0]"),
+        ("gamma", "--ambient", '{"kind":[1]}', "--x", "[0]"),
+        ("search", "--spec", _spec(family={"kind": "zmod_range", "lo": 2, "hi": 3, "hl": 9})),
+        ("search", "--spec", _spec(family={"kind": "abelian_up_to_order", "max_order": 4,
+                                           "order": 4})),
+        ("search", "--spec", _spec(family={"kind": "explicit", "n": 1,
+                                           "ambients": [{"kind": "zmod", "n": 6}]})),
+        ("search", "--spec", _spec(family={"kind": "explicit",
+                                           "ambients": [{"kind": "zmod", "n": 3, "x": 1}]})),
+        ("search", "--spec", _spec(mode={"kind": "exhaustive", "trails": 5})),
+        ("search", "--spec", _spec(mode={"kind": "random", "seed": 1, "trials": 5,
+                                         "trails": 5})),
     ],
 )
 def test_malformed_field_types_exit_2(capsys, argv):

@@ -163,6 +163,27 @@ def test_normalize_pair_no_witness():
         normalize_pair(FinSet(Z6, [0]), FinSet(Z6, [1]), kappa=1)
 
 
+def test_normalize_pair_shifts_by_the_gamma_witness():
+    # at kappa = gamma(Y) the chosen unit is the witness of the sup; one
+    # above it no unit qualifies
+    from cdlab import fixtures, is_commutative_generated
+
+    ambients = [make_ambient({"kind": "zmod", "n": n}) for n in range(1, 9)]
+    checked = 0
+    for a in ambients + [Z2xZ4, fixtures.s3()]:
+        for mask in range(1 << a.carrier_size):
+            Y = FinSet.from_mask(a, mask)
+            if len(Y) < 2 or not is_commutative_generated(Y):
+                continue
+            g = gamma_set(Y)
+            assert normalize_pair(Y, Y, g.value).shift == g.witness
+            if g.value != INF:
+                with pytest.raises(NoWitness):
+                    normalize_pair(Y, Y, g.value + 1)
+            checked += 1
+    assert checked > 700
+
+
 def test_normalize_preserves_commutativity_and_structure_failure():
     from cdlab import fixtures, is_commutative_generated, sumset
     from cdlab import units_of

@@ -18,6 +18,7 @@ from cdlab import SearchSpec, fixtures, run_search
 
 _NONEMPTY = {"nonempty": True}
 _S3 = fixtures.s3().describe()
+_LZB = fixtures.left_zero_band(3).describe()
 
 DIGESTS = [
     (
@@ -96,6 +97,25 @@ DIGESTS = [
              n_summands=3, subset_filter={"nonempty": True, "max_size": 3},
              mode={"kind": "random", "seed": 5, "trials": 6000}),
         "c10d13e8edc8fe6a76c6b7d092da33d2d27876c74fc2745d15e4e6a7896dbf15",
+    ),
+    # slabs whose tail fails the checker's hypotheses (no cancellativity,
+    # or an empty Y): their skips come from the runner the search falls
+    # back to when a slab entry raises
+    (
+        dict(family={"kind": "explicit", "ambients": [_LZB]}, checker="udt"),
+        "347328e948913c1dd925bd096e89688995e6b8f2822a38824d9b846e3ba5b5e7",
+    ),
+    (
+        dict(family={"kind": "explicit", "ambients": [_LZB]}, checker="theorem"),
+        "ab82cdff2e6bed4157b417717ad5ba004cb7242e97f06017db15a900f2406a63",
+    ),
+    (
+        dict(family={"kind": "explicit", "ambients": [_LZB]}, checker="hs"),
+        "9c30fb3791a838a5ec0a23010a7f8784af881240e28bde1fc7b9cc35c3f0bfe4",
+    ),
+    (
+        dict(family={"kind": "zmod_range", "lo": 1, "hi": 5}, checker="theorem"),
+        "1eb35ce53c31febcb2d3f3ab4fbd58c954086698f144735cf4b1b9af91603a46",
     ),
 ]
 

@@ -62,6 +62,26 @@ def test_enumerate_abelian_groups_fixtures():
     assert len(descs) == len(set(descs))
 
 
+# OEIS A000688: the number of abelian groups of order m, for m = 1..64
+_ABELIAN_CLASSES = [
+    1, 1, 1, 2, 1, 1, 1, 3, 2, 1, 1, 2, 1, 1, 1, 5, 1, 2, 1, 2, 1, 1, 1, 3, 2, 1, 3, 2,
+    1, 1, 1, 7, 1, 1, 1, 4, 1, 1, 1, 3, 1, 1, 1, 2, 2, 1, 1, 5, 2, 2, 1, 2, 1, 3, 1, 3,
+    1, 1, 1, 2, 1, 1, 2, 11,
+]
+
+
+def test_enumerate_abelian_groups_counts_classes_per_order():
+    groups = enumerate_abelian_groups(64)
+    counts = [0] * 64
+    for a in groups:
+        counts[a.carrier_size - 1] += 1
+        desc = a.describe()
+        factors = [f["n"] for f in desc["factors"]] if desc["kind"] == "product" else [desc["n"]]
+        assert all(g % f == 0 for f, g in zip(factors, factors[1:])), desc
+        assert len(factors) == 1 or factors[0] > 1, desc
+    assert counts == _ABELIAN_CLASSES
+
+
 def test_spec_validation():
     with pytest.raises(SpecInvalid):
         run_search(SearchSpec(family={"kind": "zmod_range", "lo": 2, "hi": 4}, checker="nope"))
