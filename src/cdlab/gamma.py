@@ -6,6 +6,12 @@ ord(x - x0), with sup({}) = 0 and inf({}) = INF, and gamma(X) = |X| when
 |X| <= 1.  Differences use x + (-x0), which is well defined because x0 is
 a unit.  Values are exact; there is no estimation fallback.
 
+Orders over a finite ambient are read, not walked: a mask-form ambient of
+at most TABLE_CAP elements has one order table, built from ord_elem on
+the first constant asked of it, and other finite ambients memoize ord_elem
+per element.  A finite orbit never reaches the budget cap, so both hold
+for every budget.  Infinite ambients walk orbits with ord_elem as given.
+
 An invariant transform replaces (X, Y) by (X + y0, -y0 + Y) for a unit
 y0 of Y.  It preserves |X + Y|, both set sizes, and both constants; those
 three facts are verified on every constructed transform.
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
+from .ambient import TABLE_CAP
 from .errors import (
     AmbientMismatch,
     EmptySet,
@@ -28,6 +35,8 @@ from .setops import (
     DEFAULT_BUDGET,
     MEMO_SIZE,
     FinSet,
+    _elements,
+    _raw_sumset,
     _same_ambient,
     ord_elem,
     sumset,
@@ -64,21 +73,51 @@ def _gamma_set(X: FinSet, budget: int) -> GammaValue:
     best: ExtNat = 0
     wit = None
     for x0 in units_of(X).elements:
-        inner = _inf_order(X.ambient, X.elements, x0, budget)
+        inner = _inf_order(X.ambient, X.raw, x0, budget)
         if inner > best:
             best = inner
             wit = x0
     return GammaValue(best, wit)
 
 
-def _inf_order(a, elems, x0, budget: int) -> ExtNat:
-    """inf over the x in elems other than x0 of ord(x - x0), for a unit x0:
-    the inner infimum of the constant."""
+@lru_cache(maxsize=MEMO_SIZE)
+def _order_levels(a) -> tuple:
+    """The order table of a mask-form ambient of at most TABLE_CAP
+    elements: the identity bit, and for each order o in ascending order
+    the carrier mask of the elements of order o.  The cap is the index
+    table's: building walks every orbit, about n^2 adds over Z_n."""
+    levels = {}
+    for i, x in enumerate(a.carrier()):
+        o = ord_elem(a, x)
+        levels[o] = levels.get(o, 0) | (1 << i)
+    return 1 << a.index_of(a.identity), tuple(sorted(levels.items()))
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _finite_ord(a, x) -> int:
+    """ord_elem of x over a finite ambient without an order table."""
+    return ord_elem(a, x)
+
+
+def _inf_order(a, raw, x0, budget: int) -> ExtNat:
+    """inf over the x in raw set `raw` other than x0 of ord(x - x0), for a
+    unit x0: the inner infimum of the constant."""
     neg = a.invert(x0)
+    size = a.carrier_size
+    if type(raw) is int:
+        if size <= TABLE_CAP:
+            ident_bit, levels = _order_levels(a)
+            diffs = _raw_sumset(a, raw, (neg,)) & ~ident_bit
+            for o, level in levels:
+                if diffs & level:
+                    return o
+            return INF
+        raw = _elements(a, raw)  # zmod above the cap
     inner: ExtNat = INF
-    for x in elems:
+    for x in raw:
         if x != x0:
-            o = ord_elem(a, a.add(x, neg), budget)
+            d = a.add(x, neg)
+            o = _finite_ord(a, d) if size is not None else ord_elem(a, d, budget)
             if o < inner:
                 inner = o
     return inner
@@ -166,14 +205,13 @@ def normalize_pair(X: FinSet, Y: FinSet, kappa: int, budget: int = DEFAULT_BUDGE
     units = units_of(Y).elements
     if not units:
         raise PreconditionViolated("normalization needs a unit in Y")
-    elems = Y.elements
-    chosen = next((y0 for y0 in units if _inf_order(a, elems, y0, budget) >= kappa), None)
+    chosen = next((y0 for y0 in units if _inf_order(a, Y.raw, y0, budget) >= kappa), None)
     if chosen is None:
         raise NoWitness(f"no unit of Y reaches the order threshold {kappa}")
     t = invariant_transform(X, Y, chosen, budget)
     ident = a.identity
     if ident not in t.y0.elements:
         raise InvariantBroken("normalized Y lost the identity")
-    if _inf_order(a, t.y0.elements, ident, budget) < kappa:
+    if _inf_order(a, t.y0.raw, ident, budget) < kappa:
         raise InvariantBroken("normalized Y kept an element below the threshold")
     return t

@@ -606,6 +606,10 @@ def replay(instance: dict):
     """
     if not isinstance(instance, dict):
         raise MalformedInstance(f"instance must be an object, got {instance!r}")
+    # violation records carry their verdict, which replay recomputes
+    unknown = set(instance) - {"ambient", "checker", "sets", "budget", "verdict"}
+    if unknown:
+        raise MalformedInstance(f"unknown instance keys: {sorted(unknown)}")
     try:
         ambient = make_ambient(instance["ambient"])
         name = instance["checker"]

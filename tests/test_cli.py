@@ -255,6 +255,22 @@ def test_search_and_replay_via_files(capsys, tmp_path):
     assert json.loads(out)["verdict"]["branch_ii"] is True
 
 
+def test_replay_rejects_unknown_instance_keys(capsys):
+    inst = {"ambient": {"kind": "zmod", "n": 3}, "checker": "udt", "sets": [[0], [1]]}
+    status, out, err = run_cli(
+        capsys, "replay", "--instance", json.dumps({**inst, "budgte": 0})
+    )
+    assert status == 2 and out == ""
+    assert err.startswith("cdlab: ") and err.count("\n") == 1 and "budgte" in err
+
+    # a violation record replays as written: its budget and verdict stay accepted
+    status, out, _ = run_cli(capsys, "replay", "--instance", json.dumps(inst))
+    assert status == 0
+    record = {**inst, "budget": 50, "verdict": json.loads(out)["verdict"]}
+    status, again, _ = run_cli(capsys, "replay", "--instance", json.dumps(record))
+    assert status == 0 and json.loads(again)["verdict"] == record["verdict"]
+
+
 def test_random_search_requires_seed(capsys):
     spec = json.dumps(
         {

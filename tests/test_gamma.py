@@ -7,6 +7,8 @@ from cdlab import (
     FinSet,
     INF,
     difference,
+    fixtures,
+    gamma,
     gamma_set,
     gamma_tuple,
     invariant_transform,
@@ -14,10 +16,12 @@ from cdlab import (
     min_order,
     normalize_pair,
     ord_elem,
+    search,
     sumset,
     sumset_size,
 )
 from cdlab.errors import AmbientMismatch, EmptySet, NotAUnit, NoWitness, PreconditionViolated
+from cdlab.setops import DEFAULT_BUDGET
 
 Z5 = make_ambient({"kind": "zmod", "n": 5})
 Z6 = make_ambient({"kind": "zmod", "n": 6})
@@ -254,3 +258,139 @@ def test_tuple_constant_dominates_sumset_constant():
             for my in range(1, full):
                 Y = FinSet.from_mask(a, my)
                 assert gamma_tuple([X, Y]) >= gamma_set(sumset(X, Y)).value
+
+
+# -- the order table against orbit walks -----------------------------------
+
+ABELIAN = list(search.family_ambients({"kind": "abelian_up_to_order", "max_order": 10}))
+# the multiplicative monoid of Z4: units 1 and 3, non-units 0 and 2
+MUL_Z4 = make_ambient({"kind": "cayley", "table": [[i * j % 4 for j in range(4)] for i in range(4)]})
+# {1, 2, 3, 4} under addition truncated at 4: no identity, so no units
+TRUNCATED = make_ambient(
+    {"kind": "cayley", "table": [[min(i + j + 1, 3) for j in range(4)] for i in range(4)]}
+)
+TABLE_AMBIENTS = ABELIAN + [make_ambient({"kind": "zmod", "n": n}) for n in (11, 12, 13)] + [
+    fixtures.s3(), fixtures.d4(), fixtures.q8(), fixtures.left_zero_band(3), MUL_Z4, TRUNCATED
+]
+
+
+def _orbit_orders(a):
+    return {x: ord_elem(a, x) for x in a.carrier()}
+
+
+def _orbit_inf(a, orders, xs, x0):
+    neg = a.invert(x0)
+    return min((orders[a.add(x, neg)] for x in xs if x != x0), default=INF)
+
+
+def _orbit_gamma(a, orders, xs):
+    """(value, witness) of the constant, from ord_elem orbit walks alone."""
+    if len(xs) <= 1:
+        return len(xs), None
+    best, wit = 0, None
+    for x0 in xs:
+        if a.is_unit(x0):
+            inner = _orbit_inf(a, orders, xs, x0)
+            if inner > best:
+                best, wit = inner, x0
+    return best, wit
+
+
+def test_abelian_family_has_fourteen_groups():
+    assert len(ABELIAN) == 14
+
+
+@pytest.mark.parametrize("a", TABLE_AMBIENTS, ids=lambda a: a.kind + str(a.carrier_size))
+def test_gamma_from_the_order_table_matches_orbit_walks(a):
+    gamma.gamma_set.cache_clear()
+    orders = _orbit_orders(a)
+    for mask in range(1 << a.carrier_size):
+        X = FinSet.from_mask(a, mask)
+        g = gamma_set(X)
+        assert (g.value, g.witness) == _orbit_gamma(a, orders, X.elements)
+
+
+def test_no_order_table_without_units():
+    gamma.gamma_set.cache_clear()
+    gamma._order_levels.cache_clear()
+    for a in (fixtures.left_zero_band(3), TRUNCATED):
+        for mask in range(1 << a.carrier_size):
+            X = FinSet.from_mask(a, mask)
+            assert gamma_set(X).value == (len(X) if len(X) <= 1 else 0)
+    assert gamma._order_levels.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("a", ABELIAN, ids=lambda a: repr(a.describe()))
+def test_order_table_entries_match_the_formula(a):
+    ident_bit, levels = gamma._order_levels(a)
+    carrier = a.carrier()
+    assert ident_bit == 1 << carrier.index(a.identity)
+    assert [o for o, _ in levels] == sorted({o for o, _ in levels})
+    covered = 0
+    for o, level in levels:
+        assert level and not level & covered
+        covered |= level
+        for i, x in enumerate(carrier):
+            if level >> i & 1:
+                assert oracles.formula_ord(a, x) == o
+    assert covered == (1 << len(carrier)) - 1
+
+
+def test_normalize_pair_matches_a_kappa_brute_force():
+    rng = random.Random(48)
+    checked = 0
+    for a in ABELIAN + [fixtures.s3(), fixtures.d4(), fixtures.q8()]:
+        orders = _orbit_orders(a)
+        for _ in range(40):
+            X = FinSet.from_mask(a, rng.randrange(1, 1 << a.carrier_size))
+            Y = FinSet.from_mask(a, rng.randrange(1, 1 << a.carrier_size))
+            if len(Y) < 2:
+                continue
+            reach = {y0: _orbit_inf(a, orders, Y.elements, y0) for y0 in Y.elements}
+            for kappa in range(0, max(reach.values()) + 2):
+                want = next((y0 for y0 in Y.elements if reach[y0] >= kappa), None)
+                if want is None:
+                    with pytest.raises(NoWitness):
+                        normalize_pair(X, Y, kappa)
+                else:
+                    assert normalize_pair(X, Y, kappa).shift == want
+                checked += 1
+    assert checked > 1000
+
+
+def test_large_product_reads_each_difference_order_once(monkeypatch):
+    # Z2^10 has 1,024 elements, above the table cap: sets are frozensets
+    # and orders come from the per-element memo
+    a = make_ambient({"kind": "product", "factors": [{"kind": "zmod", "n": 2}] * 10})
+    X = FinSet(a, random.Random(49).sample(a.carrier(), 64))
+    assert type(X.raw) is frozenset
+    calls = []
+    walk = gamma.ord_elem
+
+    def counted(a, x, budget=DEFAULT_BUDGET):
+        calls.append(x)
+        return walk(a, x, budget)
+
+    monkeypatch.setattr(gamma, "ord_elem", counted)
+    gamma.gamma_set.cache_clear()
+    gamma._finite_ord.cache_clear()
+    g = gamma_set(X)
+    diffs = {a.add(x, a.invert(x0)) for x0 in X.elements for x in X.elements if x != x0}
+    assert len(calls) <= len(diffs)
+    monkeypatch.setattr(gamma, "ord_elem", walk)
+    orders = {d: ord_elem(a, d) for d in diffs}
+    assert (g.value, g.witness) == _orbit_gamma(a, orders, X.elements)
+
+
+def test_large_zmod_reads_orders_through_the_memo():
+    # Z1000 sets are masks, but above the table cap: no table is built
+    a = make_ambient({"kind": "zmod", "n": 1000})
+    rng = random.Random(50)
+    gamma.gamma_set.cache_clear()
+    gamma._order_levels.cache_clear()
+    orders = _orbit_orders(a)
+    for k in (2, 3, 8, 20):
+        X = FinSet(a, rng.sample(range(1000), k))
+        g = gamma_set(X)
+        assert (g.value, g.witness) == _orbit_gamma(a, orders, X.elements)
+    assert gamma._order_levels.cache_info().misses == 0
