@@ -9,8 +9,9 @@ a unit.  Values are exact; there is no estimation fallback.
 Orders over a finite ambient are read, not walked: a mask-form ambient of
 at most TABLE_CAP elements has one order table, built from ord_elem on
 the first constant asked of it, and other finite ambients memoize ord_elem
-per element.  A finite orbit never reaches the budget cap, so both hold
-for every budget.  Infinite ambients walk orbits with ord_elem as given.
+per element.  ord_elem enumerates a finite orbit up to the carrier size
+whatever the budget, so both hold for every budget.  Infinite ambients
+call ord_elem under the given budget.
 
 An invariant transform replaces (X, Y) by (X + y0, -y0 + Y) for a unit
 y0 of Y.  It preserves |X + Y|, both set sizes, and both constants; those
@@ -85,7 +86,7 @@ def _order_levels(a) -> tuple:
     """The order table of a mask-form ambient of at most TABLE_CAP
     elements: the identity bit, and for each order o in ascending order
     the carrier mask of the elements of order o.  The cap is the index
-    table's: building walks every orbit, about n^2 adds over Z_n."""
+    table's: building enumerates every orbit, about n^2 adds over Z_n."""
     levels = {}
     for i, x in enumerate(a.carrier()):
         o = ord_elem(a, x)

@@ -51,22 +51,15 @@ _CHUNK_RANDOM = 4096
 # -- checker registry ---------------------------------------------------------
 
 
-def _holds(verdict):
-    return verdict.holds
-
-
-def _plain(verdict, sets):
-    return verdict.to_json()
-
-
 @dataclass(frozen=True)
 class Checker:
     """The one declaration of a checker: fixed arity (None = any), the
-    runner, the pass/fail reading of its verdict (None = not applicable,
-    which is never a violation), the JSON encoding of the verdict, whether
-    its outcome is invariant under replacing (X, Y) by (X + y0, -y0 + Y)
-    for a unit y0 of Y, which justifies pinning the identity into the last
-    slot during exhaustive runs, and an optional slab entry.
+    runner, whether its outcome is invariant under replacing (X, Y) by
+    (X + y0, -y0 + Y) for a unit y0 of Y, which justifies pinning the
+    identity into the last slot during exhaustive runs, and an optional
+    slab entry.  The runner's verdict reads and encodes itself: `holds`
+    is its pass/fail reading (None = not applicable, which is never a
+    violation) and `to_json()` its JSON encoding.
 
     A slab entry vouches for heads in bulk.  Given the masks of the heads
     of one exhaustive slab that the subset filter admits (slot 0, in order)
@@ -81,8 +74,6 @@ class Checker:
 
     arity: object
     run: object                        # (sets, budget) -> verdict object
-    ok: object = _holds                # verdict -> bool | None
-    encode: object = _plain            # (verdict, sets) -> dict
     translation_invariant: bool = False
     slab: object = None                # (head masks, tail, budget) -> head masks
 
@@ -101,12 +92,10 @@ CHECKERS = {
     "theorem": Checker(
         2,
         _pair(theorems.check_theorem_main),
-        ok=lambda v: v.disjunction_holds,
-        encode=lambda v, sets: v.to_json(sets[0].ambient),
         translation_invariant=True,
         slab=_pair_slab(theorems.slab_theorem_main),
     ),
-    "prop13": Checker(2, _pair(theorems.check_prop_equiv), ok=lambda v: v.agree),
+    "prop13": Checker(2, _pair(theorems.check_prop_equiv)),
     "udt": Checker(
         2,
         _pair(theorems.check_cor_udt),
@@ -137,7 +126,7 @@ def run_checker(name, sets: list, budget: int):
     if chk.arity is not None and len(sets) != chk.arity:
         raise SpecInvalid(f"checker {name!r} takes {chk.arity} sets, got {len(sets)}")
     verdict = chk.run(sets, budget)
-    return chk.ok(verdict), chk.encode(verdict, sets)
+    return verdict.holds, verdict.to_json()
 
 
 # -- abelian group enumeration --------------------------------------------------
@@ -404,8 +393,7 @@ def _admits(ctx: _Context, ai: int, slot: int, mask: int) -> bool:
 def _sweep(ctx: _Context, ai: int, heads: list, tail: list, tally: dict):
     """Run the checker on (X, *tail) for every X in heads, in order, and
     add the outcomes to the item's tally."""
-    chk = ctx.checker
-    run, ok_of = chk.run, chk.ok
+    run = ctx.checker.run
     budget = ctx.spec.budget
     checked = skipped = 0
     for X in heads:
@@ -416,14 +404,14 @@ def _sweep(ctx: _Context, ai: int, heads: list, tail: list, tally: dict):
             skipped += 1
             continue
         checked += 1
-        if ok_of(verdict) is False:
+        if verdict.holds is False:
             tally["violations"].append(
                 {
                     "ambient": ctx.ambients[ai].describe(),
                     "checker": ctx.checker_name,
                     "sets": [s.to_json() for s in sets],
                     "budget": budget,
-                    "verdict": chk.encode(verdict, sets),
+                    "verdict": verdict.to_json(),
                 }
             )
     tally["checked"] += checked

@@ -3,10 +3,10 @@
 FinSet is an immutable, canonically ordered set of elements of one ambient
 that carries its raw set, chosen once when the set is built.  For zmod and
 for finite ambients of at most TABLE_CAP elements a raw set is the
-bit-vector over the carrier, and sumsets / difference sets run on masks
-(shift/OR for zmod, table lookups otherwise).  Other ambients use
-frozensets of elements and per-pair division, which is complete because
-cancellativity makes each solution unique.
+bit-vector over the carrier, and sumsets run on masks (shift/OR for zmod,
+table lookups otherwise).  Other ambients use frozensets of elements.
+Difference sets scan the carrier of a finite ambient, which is exact
+without cancellativity, and divide pair by pair over an infinite one.
 
 Generated subsemigroups are computed by frontier expansion under a budget;
 order computations consult each kind's analytic infinitude rule first, so
@@ -272,7 +272,9 @@ def difference(side: str, X: FinSet, Y: FinSet) -> FinSet:
     _same_ambient(X, Y)
     a = X.ambient
     rx = X.raw
-    if type(rx) is not int:
+    if a.carrier_size is None:
+        # per-pair division: each solution is unique in the cancellative
+        # infinite kinds; an ambiguous division raises
         div = a.divide
         out = {div(side, x, y) for x in rx for y in Y.elements}
         out.discard(None)
@@ -281,18 +283,13 @@ def difference(side: str, X: FinSet, Y: FinSet) -> FinSet:
         n = a.n
         neg = [(n - y) % n for y in Y.elements]
         return FinSet._of(a, _zmod_sumset_mask(rx, neg, n))
-    # carrier scan: exact for non-cancellative tables as well
-    tbl = a.index_table()
-    ybits = [a.index_of(y) for y in Y.elements]
-    acc = 0
-    for z in range(a.carrier_size):
-        if side == "right":
-            hit = any((rx >> tbl[z][yi]) & 1 for yi in ybits)
-        else:
-            hit = any((rx >> tbl[yi][z]) & 1 for yi in ybits)
-        if hit:
-            acc |= 1 << z
-    return FinSet._of(a, acc)
+    # carrier scan: exact for non-cancellative ambients as well
+    if side == "right":
+        ys = Y.elements
+        hits = [z for z in a.carrier() if rx & _raw_sumset(a, _raw_of(a, (z,)), ys)]
+    else:
+        hits = [z for z in a.carrier() if rx & _raw_sumset(a, Y.raw, (z,))]
+    return FinSet._of(a, _raw_of(a, hits))
 
 
 def union(X: FinSet, Y: FinSet) -> FinSet:
@@ -361,21 +358,9 @@ def generated_sym(X: FinSet, budget: int = DEFAULT_BUDGET) -> GenResult:
 
 
 def ord_elem(a: Ambient, x, budget: int = DEFAULT_BUDGET) -> ExtNat:
-    """Size of the cyclic orbit {x, x+x, ...}, possibly INF."""
-    a.validate(x)
-    if a.ord_is_infinite(x):
-        return INF
-    bound = a.gen_size_bound((x,))
-    cap = max(budget, bound) if bound != INF else budget
-    add = a.add
-    seen = set()
-    z = x
-    while z not in seen:
-        if len(seen) >= cap:
-            raise BudgetExceeded(f"orbit of {x!r} exceeded {cap} elements")
-        seen.add(z)
-        z = add(z, x)
-    return len(seen)
+    """Size of the cyclic orbit {x, x+x, ...}, possibly INF: the order of
+    the singleton {x}."""
+    return ord_set(FinSet(a, (x,)), budget)
 
 
 def ord_set(X: FinSet, budget: int = DEFAULT_BUDGET) -> ExtNat:
@@ -383,7 +368,8 @@ def ord_set(X: FinSet, budget: int = DEFAULT_BUDGET) -> ExtNat:
 
     The analytic rules certify infinitude (a nonzero lattice vector, a
     nonempty word, an infinite factor orbit); when they certify a finite
-    bound instead, the closure is enumerated to completion.
+    bound instead, the closure is enumerated up to the larger of budget
+    and that bound, and BudgetExceeded is raised if it has not stabilized.
     """
     if not X.elements:
         return 0

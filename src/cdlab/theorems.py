@@ -215,17 +215,20 @@ class TheoremVerdict:
     gamma_y: ExtNat
     x_size: int
     y_size: int
+    ambient: object
 
-    def to_json(self, ambient=None):
-        enc = ambient.encode if ambient is not None else (lambda v: v)
+    @property
+    def holds(self) -> bool:
+        return self.disjunction_holds
+
+    def to_json(self):
+        wit = self.structure_witness
         return {
             "bound_lhs": self.bound_lhs,
             "bound_rhs": self.bound_rhs,
             "branch_i": self.branch_i,
             "branch_ii": self.branch_ii,
-            "structure_witness": (
-                None if self.structure_witness is None else enc(self.structure_witness)
-            ),
+            "structure_witness": None if wit is None else self.ambient.encode(wit),
             "disjunction_holds": self.disjunction_holds,
             "gamma_y": encode_extnat(self.gamma_y),
             "x_size": self.x_size,
@@ -255,6 +258,7 @@ def check_theorem_main(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Th
         gamma_y=gam,
         x_size=len(X.elements),
         y_size=len(Y.elements),
+        ambient=X.ambient,
     )
 
 
@@ -289,6 +293,10 @@ class EquivalenceVerdict:
     cond_iii: bool
     agree: bool
     counterwitness: Optional[dict] = None
+
+    @property
+    def holds(self) -> bool:
+        return self.agree
 
     def to_json(self):
         return asdict(self)
@@ -372,7 +380,7 @@ def check_cor_udt(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRe
         lhs=lhs,
         rhs=rhs,
         detail={
-            "gamma_y": gam if gam != INF else "inf",
+            "gamma_y": encode_extnat(gam),
             "x_size": nx,
             "y_size": len(Y.elements),
         },
@@ -409,11 +417,11 @@ def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
     outright; if the closure cannot be settled within budget the status is
     "unknown" rather than a guess.
     """
-    _, gam0, d = _hs_rhs(Y, budget)
+    y0set, gam0, d = _hs_rhs(Y, budget)
     _same_ambient(X, Y)
     a = X.ambient
     rx = X.raw
-    lhs_raw = rx | _raw_sumset(a, rx, Y.elements)
+    lhs_raw = _raw_sumset(a, rx, y0set.elements)  # X u (X + Y) = X + (Y u {0})
     lhs = _raw_size(lhs_raw)
     rhs = len(X.elements) + d
     detail = {

@@ -64,6 +64,10 @@ def test_ord_and_generated(capsys):
     nat = '{"kind":"nat_lattice","dim":1}'
     status, out, _ = run_cli(capsys, "ord", "--ambient", nat, "--elem", "[1]")
     assert status == 0 and json.loads(out)["value"] == "inf"
+    status, out, _ = run_cli(capsys, "ord", "--ambient", Z6, "--x", "[2,3]")
+    assert status == 0 and json.loads(out)["value"] == 6
+    status, out, _ = run_cli(capsys, "ord", "--ambient", nat, "--x", "[[0],[2]]")
+    assert status == 0 and json.loads(out)["value"] == "inf"
     status, out, _ = run_cli(capsys, "generated", "--ambient", Z6, "--x", "[2]")
     assert status == 0
     doc = json.loads(out)
@@ -165,6 +169,23 @@ def _spec(**fields):
         ("search", "--spec", _spec(mode={"kind": "exhaustive", "trails": 5})),
         ("search", "--spec", _spec(mode={"kind": "random", "seed": 1, "trials": 5,
                                          "trails": 5})),
+        # rejections of whole specs and of missing or unreadable set arguments
+        ("search", "--spec", "[1]"),
+        ("search", "--spec", _spec(worker=2)),
+        ("search", "--spec", _spec(family=5)),
+        ("search", "--spec", _spec(family={"kind": "explicit", "ambients": []})),
+        ("search", "--spec", _spec(family={"kind": "zmod_list", "lo": 2, "hi": 3})),
+        ("search", "--spec", _spec(subset_filter={"min_size": 1})),
+        ("search", "--spec", _spec(mode={"kind": "sweep"})),
+        ("search", "--spec", _spec(symmetry_reduction=True, family={
+            "kind": "explicit", "ambients": [{"kind": "cayley", "table": [[0, 0], [1, 1]]}]
+        })),
+        ("gamma", "--ambient", Z6),
+        ("ord", "--ambient", Z6),
+        ("check", "--which", "udt", "--ambient", Z6),
+        ("gamma", "--ambient", Z6, "--x", "5"),
+        # a file that exists but holds no JSON: this test module
+        ("gamma", "--ambient", Z6, "--x", __file__),
     ],
 )
 def test_malformed_field_types_exit_2(capsys, argv):
@@ -195,12 +216,8 @@ def test_violation_exits_1(capsys, monkeypatch, fresh_context):
     from cdlab import search as search_mod
     from cdlab.theorems import BoundReport
 
-    real = search_mod.CHECKERS["udt"]
     fake = search_mod.Checker(
-        2,
-        lambda sets, budget: BoundReport(holds=False, lhs=0, rhs=1),
-        real.ok,
-        real.encode,
+        2, lambda sets, budget: BoundReport(holds=False, lhs=0, rhs=1)
     )
     monkeypatch.setitem(search_mod.CHECKERS, "udt", fake)
     status, out, _ = run_cli(
@@ -239,6 +256,10 @@ def test_search_and_replay_via_files(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["violations"] == [] and doc["seed"] == 5
     assert doc["spec"]["budget"] == 5000  # no --budget, so the spec's stands
+    status, out, _ = run_cli(
+        capsys, "search", "--spec", str(spec_file), "--seed", "5", "--budget", "7"
+    )
+    assert status == 0 and json.loads(out)["spec"]["budget"] == 7
 
     inst = tmp_path / "inst.json"
     inst.write_text(

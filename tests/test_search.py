@@ -262,7 +262,7 @@ def test_violation_instances_replay(monkeypatch, fresh_context):
     monkeypatch.setitem(
         search_mod.CHECKERS,
         "udt",
-        search_mod.Checker(2, fake_run, real.ok, real.encode),
+        search_mod.Checker(2, fake_run),
     )
     rep = run_search(
         SearchSpec(
@@ -399,7 +399,7 @@ def _brute_force(spec):
                 skipped += 1
                 continue
             checked += 1
-            if chk.ok(verdict) is False:
+            if verdict.holds is False:
                 violations.append((a.describe(), [s.to_json() for s in sets]))
     return checked, skipped, violations
 
@@ -474,7 +474,7 @@ def test_slab_edges_keep_violation_order(monkeypatch, fresh_context):
         return r
 
     monkeypatch.setitem(
-        search_mod.CHECKERS, "udt", search_mod.Checker(2, fake_run, real.ok, real.encode)
+        search_mod.CHECKERS, "udt", search_mod.Checker(2, fake_run)
     )
     spec = SearchSpec(
         family={"kind": "zmod_range", "lo": 3, "hi": 6},

@@ -20,7 +20,8 @@ from cdlab import (
     union,
     units_of,
 )
-from cdlab.errors import AmbientMismatch, ElementAmbientMismatch
+from cdlab.ambient import IntLattice
+from cdlab.errors import AmbientMismatch, BudgetExceeded, ElementAmbientMismatch
 from cdlab import fixtures, setops
 from cdlab.setops import intersection, is_subset
 
@@ -101,9 +102,17 @@ def test_difference_examples():
 
 def test_difference_against_definition_scan():
     rng = random.Random(31)
-    for a in (Z6, S3, fixtures.left_zero_band(3)):
+    # a left-zero band times Z300: 600 elements, so its sets are frozensets,
+    # and left division in it has many solutions
+    band_z300 = make_ambient(
+        {
+            "kind": "product",
+            "factors": [{"kind": "cayley", "table": [[0, 0], [1, 1]]}, {"kind": "zmod", "n": 300}],
+        }
+    )
+    for a, draws in ((Z6, 150), (S3, 150), (fixtures.left_zero_band(3), 150), (band_z300, 3)):
         universe = a.carrier()
-        for _ in range(150):
+        for _ in range(draws):
             xs = {u for u in universe if rng.random() < 0.4}
             ys = {u for u in universe if rng.random() < 0.4}
             for side in ("right", "left"):
@@ -141,6 +150,19 @@ def test_ord_examples():
     assert ord_elem(Z6, 2) == 3
     assert ord_elem(Z6, 0) == 1
     assert ord_elem(NAT, (1,)) == INF
+    band = fixtures.left_zero_band(3)
+    assert [ord_elem(band, x) for x in band.carrier()] == [1, 1, 1]
+    mul_z4 = make_ambient(
+        {"kind": "cayley", "table": [[i * j % 4 for j in range(4)] for i in range(4)]}
+    )
+    assert [ord_elem(mul_z4, x) for x in mul_z4.carrier()] == [1, 1, 2, 2]
+
+    class Unruled(IntLattice):  # no infinitude rule, so orbits are enumerated
+        def ord_is_infinite(self, x):
+            return False
+
+    with pytest.raises(BudgetExceeded):
+        ord_elem(Unruled(1), (1,), 10)
     assert ord_set(FinSet(Z6, [2])) == 3
     assert ord_set(FinSet(NAT, [(0,), (2,)])) == INF
     assert ord_set(FinSet(Z5, [])) == 0
