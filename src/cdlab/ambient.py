@@ -18,6 +18,7 @@ Built-in kinds:
     product(...)     the direct product of any of the above
 """
 
+import json
 from dataclasses import dataclass
 from itertools import product as _cartesian
 from typing import Optional
@@ -66,13 +67,12 @@ class Ambient:
     def describe(self) -> dict:
         raise NotImplementedError
 
-    def _key(self):
-        raise NotImplementedError
-
     def _ckey(self):
+        """The canonical description text: two ambients are equal, and hash
+        alike, exactly when their descriptions are."""
         k = self._keyval
         if k is None:
-            k = self._keyval = self._key()
+            k = self._keyval = json.dumps(self.describe(), sort_keys=True)
         return k
 
     def __eq__(self, other):
@@ -205,9 +205,6 @@ class ZMod(Ambient):
     def describe(self):
         return {"kind": "zmod", "n": self.n}
 
-    def _key(self):
-        return ("zmod", self.n)
-
     def add(self, x, y):
         return (x + y) % self.n
 
@@ -325,9 +322,6 @@ class Cayley(Ambient):
             "table": [list(r) for r in self.table],
         }
 
-    def _key(self):
-        return ("cayley", self.table, self.labels)
-
     def add(self, x, y):
         return self.table[x][y]
 
@@ -400,10 +394,7 @@ class IntLattice(Ambient):
         self.axioms = AxiomReport(True, True, True, zero, True, None)
 
     def describe(self):
-        return {"kind": "int_lattice", "dim": self.dim}
-
-    def _key(self):
-        return ("int_lattice", self.dim)
+        return {"kind": self.kind, "dim": self.dim}
 
     def add(self, x, y):
         return tuple(a + b for a, b in zip(x, y))
@@ -450,12 +441,6 @@ class NatLattice(IntLattice):
     """N^dim under componentwise addition; only the origin is a unit."""
 
     kind = "nat_lattice"
-
-    def describe(self):
-        return {"kind": "nat_lattice", "dim": self.dim}
-
-    def _key(self):
-        return ("nat_lattice", self.dim)
 
     def divide(self, side, x, y):
         z = tuple(a - b for a, b in zip(x, y))
@@ -507,9 +492,6 @@ class FreeMonoid(Ambient):
 
     def describe(self):
         return {"kind": "free_monoid", "alphabet": list(self.alphabet)}
-
-    def _key(self):
-        return ("free_monoid", self.alphabet)
 
     def add(self, x, y):
         return x + y
@@ -574,9 +556,6 @@ class Product(Ambient):
     def describe(self):
         return {"kind": "product", "factors": [f.describe() for f in self.factors]}
 
-    def _key(self):
-        return ("product", tuple(f._key() for f in self.factors))
-
     def add(self, x, y):
         return tuple(f.add(a, b) for f, a, b in zip(self.factors, x, y))
 
@@ -615,9 +594,6 @@ class Product(Ambient):
 
     def sort_key(self, x):
         return tuple(f.sort_key(a) for f, a in zip(self.factors, x))
-
-    def ord_is_infinite(self, x):
-        return any(f.ord_is_infinite(a) for f, a in zip(self.factors, x))
 
     def gen_size_bound(self, elems):
         elems = list(elems)

@@ -143,7 +143,7 @@ def _cmd_davenport(args):
     X = _set_from(a, args.x, "--x")
     Y = _set_from(a, args.y, "--y")
     z = a.decode(_load_json_arg(args.z, "--z"))
-    pair = davenport_transform(X, Y, z, args.budget)
+    pair = davenport_transform(X, Y, z)
     return (0 if pair.all_hold else 1), pair.to_json()
 
 

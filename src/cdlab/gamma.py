@@ -54,11 +54,10 @@ class GammaValue:
     value: ExtNat
     witness: Optional[object] = None
 
-    def to_json(self, ambient=None):
-        enc = ambient.encode if ambient is not None else (lambda v: v)
+    def to_json(self, ambient):
         return {
             "value": encode_extnat(self.value),
-            "witness": None if self.witness is None else enc(self.witness),
+            "witness": None if self.witness is None else ambient.encode(self.witness),
         }
 
 

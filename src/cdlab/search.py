@@ -540,7 +540,8 @@ def run_search(spec: SearchSpec) -> SearchReport:
     if spec.mode["kind"] == "exhaustive":
         if ctx.total > spec.ceiling:
             raise CeilingExceeded(
-                f"{ctx.total} instances exceed the ceiling {spec.ceiling}"
+                f"at least 2**{ctx.total.bit_length() - 1} instances exceed"
+                f" the ceiling {spec.ceiling}"
             )
         chunk = _CHUNK_EXHAUSTIVE
     else:

@@ -144,7 +144,7 @@ class DavenportPair:
         }
 
 
-def davenport_transform(X: FinSet, Y: FinSet, z, budget: int = DEFAULT_BUDGET) -> DavenportPair:
+def davenport_transform(X: FinSet, Y: FinSet, z) -> DavenportPair:
     """Split Y at the gap element z and record the four transform facts.
 
     Requires a cancellative ambient, a commutative subsemigroup generated
@@ -670,7 +670,7 @@ def descent(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> DescentTrace:
                 cert["structure_witness"] = a.encode(a.identity)
                 return DescentTrace(steps, "structure_case", cert, a)
             z = gap[0]
-            pair = davenport_transform(t.x0, t.y0, z, budget)
+            pair = davenport_transform(t.x0, t.y0, z)
             ledger_ok = pair.ledger
             if len(pair.y_keep) >= len(t.y0):
                 raise InvariantBroken("transform failed to shrink Y")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -179,6 +180,41 @@ def test_json_element_round_trip():
         a = make_ambient(desc)
         assert a.decode(a.encode(x)) == x
         assert make_ambient(a.describe()) == a
+
+
+Z2_TABLE = [[0, 1], [1, 0]]
+
+
+def test_identity_is_description():
+    nested = {
+        "kind": "product",
+        "factors": [
+            {"kind": "product", "factors": [{"kind": "zmod", "n": 2}, {"kind": "nat_lattice", "dim": 1}]},
+            {"kind": "free_monoid", "alphabet": ["a"]},
+        ],
+    }
+    ambients = [make_ambient(d) for d in ALL_KINDS + [nested]] + [
+        fixtures.s3(),
+        make_ambient({"kind": "cayley", "table": Z2_TABLE}),
+    ]
+    for a in ambients:
+        b = make_ambient(json.loads(json.dumps(a.describe())))
+        assert b is not a and b == a and hash(b) == hash(a)
+    unequal = [
+        ({"kind": "int_lattice", "dim": 2}, {"kind": "nat_lattice", "dim": 2}),
+        (
+            {"kind": "cayley", "table": Z2_TABLE},
+            {"kind": "cayley", "table": Z2_TABLE, "labels": ["e", "g"]},
+        ),
+        (
+            {"kind": "product", "factors": [{"kind": "zmod", "n": 2}, {"kind": "zmod", "n": 3}]},
+            {"kind": "product", "factors": [{"kind": "zmod", "n": 3}, {"kind": "zmod", "n": 2}]},
+        ),
+        ({"kind": "zmod", "n": 2}, {"kind": "cayley", "table": Z2_TABLE}),
+        ({"kind": "free_monoid", "alphabet": ["a", "b"]}, {"kind": "free_monoid", "alphabet": ["b", "a"]}),
+    ]
+    for d1, d2 in unequal:
+        assert make_ambient(d1) != make_ambient(d2)
 
 
 def _random_element(rng, a):

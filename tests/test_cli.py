@@ -313,3 +313,13 @@ def test_table_format_and_out_file(capsys, tmp_path):
     assert status == 0
     assert "value" in out and "3" in out
     assert json.loads(out_file.read_text()) == {"value": 3, "witness": 0}
+    # nested values render as JSON text; -v names the command on stderr
+    status, out, err = run_cli(
+        capsys, "davenport", "--ambient", '{"kind":"zmod","n":5}',
+        "--x", "[0]", "--y", "[0,1]", "--z", "2", "--format", "table", "-v",
+    )
+    assert status == 0
+    assert err == "cdlab: running davenport\n"
+    rows = dict(line.split(None, 1) for line in out.splitlines())
+    assert rows["y_keep"] == "[0]" and rows["witnesses"] == "{}"
+    assert json.loads(rows["sides"])["y_size"] == 2

@@ -118,6 +118,9 @@ def test_spec_validation():
                 ceiling=1000,
             )
         )
+    # an instance count past the int-to-text limit still gets a short message
+    with pytest.raises(CeilingExceeded, match="ceiling"):
+        run_search(SearchSpec(family={"kind": "zmod_range", "lo": 8000, "hi": 8000}, checker="udt"))
     assert resolve_checker("theorem_main") == "theorem"
 
 

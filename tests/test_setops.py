@@ -168,6 +168,15 @@ def test_ord_examples():
     assert ord_set(FinSet(Z5, [])) == 0
     assert ord_set(FinSet(FM, [""])) == 1
     assert ord_set(FinSet(FM, ["ab"])) == INF
+    # an infinite factor orbit makes the product orbit infinite; a finite
+    # one is bounded factor by factor
+    mixed = make_ambient(
+        {"kind": "product", "factors": [{"kind": "int_lattice", "dim": 1}, {"kind": "zmod", "n": 3}]}
+    )
+    assert ord_elem(mixed, ((1,), 0)) == INF == oracles.formula_ord(mixed, ((1,), 0))
+    assert ord_elem(mixed, ((0,), 1)) == 3 == oracles.formula_ord(mixed, ((0,), 1))
+    assert ord_set(FinSet(mixed, [])) == 0
+    assert mixed.gen_size_bound([]) == 0
 
 
 def test_ord_matches_formula():
