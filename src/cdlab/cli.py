@@ -3,10 +3,11 @@
 Every subcommand prints one complete JSON document on stdout (never a
 partial one); ``--format table`` renders the same document as aligned
 key/value rows instead.  Exit status is 0 for a successful computation or
-a satisfied property, 1 when a checker reports a violation or cannot
-certify, 2 for usage or parse problems, and 3 when an identity the library
-guarantees fails (a bug in cdlab).  Randomized searches require an
-explicit seed, which is echoed in the report.
+a satisfied property, 1 when a checker reports a violation or a Davenport
+transform fact fails, 2 for usage, parse or output-file problems, and 3
+when an identity the library guarantees fails (a bug in cdlab).
+Randomized searches require an explicit seed, which is echoed in the
+report.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import json
 import sys
 
 from .ambient import make_ambient
-from .errors import BudgetExceeded, CdlabError, InvariantBroken
+from .errors import CdlabError, InvariantBroken
 from .extnat import encode_extnat
 from .gamma import gamma_set, gamma_tuple
 from .setops import (
@@ -80,9 +81,12 @@ def _render(doc: dict, args) -> str:
 
 def _emit(doc: dict, args) -> None:
     if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.out, "w") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValueError(f"--out: cannot write the document: {exc}")
     print(_render(doc, args))
 
 
@@ -93,12 +97,12 @@ def _cmd_gamma(args):
     a = _ambient_from(args)
     if args.sets:
         sets = _sets_from(a, args.sets, "--sets")
-        value = gamma_tuple(sets, args.budget)
+        value = gamma_tuple(sets)
         return 0, {"value": encode_extnat(value), "n_sets": len(sets)}
     if args.x is None:
         raise ValueError("gamma needs --x or --sets")
     X = _set_from(a, args.x, "--x")
-    return 0, gamma_set(X, args.budget).to_json(a)
+    return 0, gamma_set(X).to_json(a)
 
 
 def _cmd_sumset(args):
@@ -123,9 +127,9 @@ def _cmd_ord(args):
     a = _ambient_from(args)
     if args.elem is not None:
         x = a.decode(_load_json_arg(args.elem, "--elem"))
-        value = ord_elem(a, x, args.budget)
+        value = ord_elem(a, x)
     elif args.x is not None:
-        value = ord_set(_set_from(a, args.x, "--x"), args.budget)
+        value = ord_set(_set_from(a, args.x, "--x"))
     else:
         raise ValueError("ord needs --x (a set) or --elem (one element)")
     return 0, {"value": encode_extnat(value)}
@@ -134,7 +138,8 @@ def _cmd_ord(args):
 def _cmd_generated(args):
     a = _ambient_from(args)
     X = _set_from(a, args.x, "--x")
-    res = generated_sym(X, args.budget) if args.sym else generated(X, args.budget)
+    budget = _int_field(args.budget, "--budget", 1)
+    res = generated_sym(X, budget) if args.sym else generated(X, budget)
     return 0, res.to_json()
 
 
@@ -157,7 +162,7 @@ def _cmd_check(args):
         sets = [_set_from(a, args.x, "--x")]
         if args.y is not None:
             sets.append(_set_from(a, args.y, "--y"))
-    ok, doc = run_checker(args.which, sets, args.budget)
+    ok, doc = run_checker(args.which, sets)
     return (0 if ok is not False else 1), doc
 
 
@@ -165,16 +170,13 @@ def _cmd_descent(args):
     a = _ambient_from(args)
     X = _set_from(a, args.x, "--x")
     Y = _set_from(a, args.y, "--y")
-    trace = descent(X, Y, args.budget)
-    return (1 if trace.outcome == "budget_exhausted" else 0), trace.to_json()
+    return 0, descent(X, Y).to_json()
 
 
 def _cmd_search(args):
     spec = SearchSpec.from_json(_load_json_arg(args.spec, "--spec"))
     if args.workers is not None:
         spec.workers = args.workers
-    if args.budget is not None:
-        spec.budget = args.budget
     if args.seed is not None:
         if not isinstance(spec.mode, dict) or spec.mode.get("kind") != "random":
             raise ValueError("--seed only applies to random search modes")
@@ -194,14 +196,21 @@ def _cmd_replay(args):
 def _add_common(p, ambient=True):
     if ambient:
         p.add_argument("--ambient", required=True, help="ambient JSON or file path")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--out", help="also write the JSON document to this file")
     p.add_argument("-v", "--verbose", action="count", default=0)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors are usage errors for main to report, not a
+    usage block and an exit."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cdlab",
         description=(
             "Sumset arithmetic, Cauchy-Davenport constants, Davenport "
@@ -241,6 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--x", required=True)
     p.add_argument("--sym", action="store_true", help="adjoin inverses of units first")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.set_defaults(fn=_cmd_generated)
 
     p = sub.add_parser("davenport", help="Davenport transform at a gap element")
@@ -273,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="SearchSpec JSON or file path")
     p.add_argument("--workers", type=int)
     p.add_argument("--seed", type=int)
-    # the spec's own budget stands unless --budget is given
-    p.set_defaults(fn=_cmd_search, budget=None)
+    p.set_defaults(fn=_cmd_search)
 
     p = sub.add_parser("replay", help="re-run a checker on a recorded instance")
     _add_common(p, ambient=False)
@@ -285,24 +294,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.verbose:
-        print(f"cdlab: running {args.command}", file=sys.stderr)
     try:
-        if args.budget is not None:
-            _int_field(args.budget, "--budget", 1)
+        args = build_parser().parse_args(argv)
+        if args.verbose:
+            print(f"cdlab: running {args.command}", file=sys.stderr)
         status, doc = args.fn(args)
-    except BudgetExceeded as exc:
-        print(f"cdlab: budget exceeded: {exc}", file=sys.stderr)
-        return 1
+        _emit(doc, args)
     except InvariantBroken as exc:
         print(f"cdlab: internal error: {exc}", file=sys.stderr)
         return 3
     except _USAGE_ERRORS as exc:
         print(f"cdlab: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args)
     return status
 
 

@@ -36,10 +36,6 @@ class AmbientMismatch(CdlabError):
     """An operation received sets or elements from different ambients."""
 
 
-class BudgetExceeded(CdlabError):
-    """A closure or order computation could not finish within its budget."""
-
-
 class EmptySet(CdlabError):
     """An operation that needs a nonempty set received an empty one."""
 

@@ -9,9 +9,7 @@ a unit.  Values are exact; there is no estimation fallback.
 Orders over a finite ambient are read, not walked: a mask-form ambient of
 at most TABLE_CAP elements has one order table, built from ord_elem on
 the first constant asked of it, and other finite ambients memoize ord_elem
-per element.  ord_elem enumerates a finite orbit up to the carrier size
-whatever the budget, so both hold for every budget.  Infinite ambients
-call ord_elem under the given budget.
+per element.  Infinite ambients call ord_elem directly.
 
 An invariant transform replaces (X, Y) by (X + y0, -y0 + Y) for a unit
 y0 of Y.  It preserves |X + Y|, both set sizes, and both constants; those
@@ -33,7 +31,6 @@ from .errors import (
 )
 from .extnat import INF, ExtNat, encode_extnat
 from .setops import (
-    DEFAULT_BUDGET,
     MEMO_SIZE,
     FinSet,
     _elements,
@@ -61,19 +58,15 @@ class GammaValue:
         }
 
 
-def gamma_set(X: FinSet, budget: int = DEFAULT_BUDGET) -> GammaValue:
-    """The Cauchy-Davenport constant of a single set, memoized per (X, budget)."""
-    return _gamma_set(X, budget)
-
-
 @lru_cache(maxsize=MEMO_SIZE)
-def _gamma_set(X: FinSet, budget: int) -> GammaValue:
+def gamma_set(X: FinSet) -> GammaValue:
+    """The Cauchy-Davenport constant of a single set, memoized per set."""
     if len(X.elements) <= 1:
         return GammaValue(len(X.elements), None)
     best: ExtNat = 0
     wit = None
     for x0 in units_of(X).elements:
-        inner = _inf_order(X.ambient, X.raw, x0, budget)
+        inner = _inf_order(X.ambient, X.raw, x0)
         if inner > best:
             best = inner
             wit = x0
@@ -99,7 +92,7 @@ def _finite_ord(a, x) -> int:
     return ord_elem(a, x)
 
 
-def _inf_order(a, raw, x0, budget: int) -> ExtNat:
+def _inf_order(a, raw, x0) -> ExtNat:
     """inf over the x in raw set `raw` other than x0 of ord(x - x0), for a
     unit x0: the inner infimum of the constant."""
     neg = a.invert(x0)
@@ -117,19 +110,13 @@ def _inf_order(a, raw, x0, budget: int) -> ExtNat:
     for x in raw:
         if x != x0:
             d = a.add(x, neg)
-            o = _finite_ord(a, d) if size is not None else ord_elem(a, d, budget)
+            o = _finite_ord(a, d) if size is not None else ord_elem(a, d)
             if o < inner:
                 inner = o
     return inner
 
 
-# the public name reports, clears and bypasses the memo it fronts
-gamma_set.cache_info = _gamma_set.cache_info
-gamma_set.cache_clear = _gamma_set.cache_clear
-gamma_set.__wrapped__ = _gamma_set.__wrapped__
-
-
-def gamma_tuple(Xs, budget: int = DEFAULT_BUDGET) -> ExtNat:
+def gamma_tuple(Xs) -> ExtNat:
     """Constant of a tuple: 0 when any component is empty, else the max of
     the component constants."""
     Xs = list(Xs)
@@ -141,15 +128,15 @@ def gamma_tuple(Xs, budget: int = DEFAULT_BUDGET) -> ExtNat:
             raise AmbientMismatch("tuple components live in different ambients")
     if any(not X.elements for X in Xs):
         return 0
-    return max(gamma_set(X, budget).value for X in Xs)
+    return max(gamma_set(X).value for X in Xs)
 
 
-def min_order(Y: FinSet, budget: int = DEFAULT_BUDGET) -> ExtNat:
+def min_order(Y: FinSet) -> ExtNat:
     """Minimal order among the elements of a nonempty set."""
     if not Y.elements:
         raise EmptySet("min_order of the empty set")
     a = Y.ambient
-    return min(ord_elem(a, y, budget) for y in Y.elements)
+    return min(ord_elem(a, y) for y in Y.elements)
 
 
 @dataclass(frozen=True)
@@ -162,7 +149,7 @@ class InvariantTransform:
     shift: object
 
 
-def invariant_transform(X: FinSet, Y: FinSet, y0, budget: int = DEFAULT_BUDGET) -> InvariantTransform:
+def invariant_transform(X: FinSet, Y: FinSet, y0) -> InvariantTransform:
     """Translate X right by y0 and Y left by its inverse, verifying the
     size and constant preservation identities on the result."""
     _same_ambient(X, Y)
@@ -177,8 +164,8 @@ def invariant_transform(X: FinSet, Y: FinSet, y0, budget: int = DEFAULT_BUDGET) 
     s1 = sumset_size(X, Y) == sumset_size(x0, y0set)
     s2 = len(X) == len(x0) and len(Y) == len(y0set)
     s3 = (
-        gamma_set(X, budget).value == gamma_set(x0, budget).value
-        and gamma_set(Y, budget).value == gamma_set(y0set, budget).value
+        gamma_set(X).value == gamma_set(x0).value
+        and gamma_set(Y).value == gamma_set(y0set).value
     )
     if not (s1 and s2 and s3):
         raise InvariantBroken(
@@ -188,7 +175,7 @@ def invariant_transform(X: FinSet, Y: FinSet, y0, budget: int = DEFAULT_BUDGET) 
     return InvariantTransform(x0, y0set, y0)
 
 
-def normalize_pair(X: FinSet, Y: FinSet, kappa: int, budget: int = DEFAULT_BUDGET) -> InvariantTransform:
+def normalize_pair(X: FinSet, Y: FinSet, kappa: int) -> InvariantTransform:
     """Pick the canonically smallest unit y0 of Y whose difference orders
     all reach `kappa`, and transform by it.
 
@@ -205,13 +192,13 @@ def normalize_pair(X: FinSet, Y: FinSet, kappa: int, budget: int = DEFAULT_BUDGE
     units = units_of(Y).elements
     if not units:
         raise PreconditionViolated("normalization needs a unit in Y")
-    chosen = next((y0 for y0 in units if _inf_order(a, Y.raw, y0, budget) >= kappa), None)
+    chosen = next((y0 for y0 in units if _inf_order(a, Y.raw, y0) >= kappa), None)
     if chosen is None:
         raise NoWitness(f"no unit of Y reaches the order threshold {kappa}")
-    t = invariant_transform(X, Y, chosen, budget)
+    t = invariant_transform(X, Y, chosen)
     ident = a.identity
     if ident not in t.y0.elements:
         raise InvariantBroken("normalized Y lost the identity")
-    if _inf_order(a, t.y0.raw, ident, budget) < kappa:
+    if _inf_order(a, t.y0.raw, ident) < kappa:
         raise InvariantBroken("normalized Y kept an element below the threshold")
     return t

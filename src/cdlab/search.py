@@ -40,7 +40,7 @@ from .errors import (
     PreconditionViolated,
     SpecInvalid,
 )
-from .setops import DEFAULT_BUDGET, MEMO_SIZE, FinSet, _mask_form, is_commutative_generated
+from .setops import MEMO_SIZE, FinSet, _mask_form, is_commutative_generated
 from . import theorems
 
 DEFAULT_CEILING = 1 << 30
@@ -73,19 +73,19 @@ class Checker:
     them."""
 
     arity: object
-    run: object                        # (sets, budget) -> verdict object
+    run: object                        # sets -> verdict object
     translation_invariant: bool = False
-    slab: object = None                # (head masks, tail, budget) -> head masks
+    slab: object = None                # (head masks, tail) -> head masks
 
 
 def _pair(fn):
-    """Runner for a checker of one pair: fn(X, Y, budget)."""
-    return lambda sets, budget: fn(sets[0], sets[1], budget)
+    """Runner for a checker of one pair: fn(X, Y)."""
+    return lambda sets: fn(sets[0], sets[1])
 
 
 def _pair_slab(fn):
-    """Slab entry for a checker of one pair: fn(head masks, Y, budget)."""
-    return lambda heads, tail, budget: fn(heads, tail[0], budget)
+    """Slab entry for a checker of one pair: fn(head masks, Y)."""
+    return lambda heads, tail: fn(heads, tail[0])
 
 
 CHECKERS = {
@@ -118,14 +118,14 @@ def resolve_checker(name) -> str:
     return resolved
 
 
-def run_checker(name, sets: list, budget: int):
+def run_checker(name, sets: list):
     """Resolve a checker name, check that it takes len(sets) sets, run it,
     and return (ok, encoded verdict); ok is None when the checker does not
     apply, which is never a violation."""
     chk = CHECKERS[resolve_checker(name)]
     if chk.arity is not None and len(sets) != chk.arity:
         raise SpecInvalid(f"checker {name!r} takes {chk.arity} sets, got {len(sets)}")
-    verdict = chk.run(sets, budget)
+    verdict = chk.run(sets)
     return verdict.holds, verdict.to_json()
 
 
@@ -171,7 +171,6 @@ class SearchSpec:
     subset_filter: dict = field(default_factory=dict)
     mode: dict = field(default_factory=lambda: {"kind": "exhaustive"})
     workers: int = 1
-    budget: int = DEFAULT_BUDGET
     symmetry_reduction: bool = False
     ceiling: int = DEFAULT_CEILING
 
@@ -258,7 +257,6 @@ def _validate_spec(spec: SearchSpec):
     if filters.get("max_size") is not None:
         _int_field(filters["max_size"], "subset_filter max_size", 0)
     _int_field(spec.workers, "workers", 1)
-    _int_field(spec.budget, "budget", 1)
     _int_field(spec.ceiling, "ceiling", 1)
     if not isinstance(spec.symmetry_reduction, bool):
         raise SpecInvalid("symmetry_reduction must be true or false")
@@ -394,12 +392,11 @@ def _sweep(ctx: _Context, ai: int, heads: list, tail: list, tally: dict):
     """Run the checker on (X, *tail) for every X in heads, in order, and
     add the outcomes to the item's tally."""
     run = ctx.checker.run
-    budget = ctx.spec.budget
     checked = skipped = 0
     for X in heads:
         sets = [X, *tail]
         try:
-            verdict = run(sets, budget)
+            verdict = run(sets)
         except PreconditionViolated:
             skipped += 1
             continue
@@ -410,7 +407,6 @@ def _sweep(ctx: _Context, ai: int, heads: list, tail: list, tally: dict):
                     "ambient": ctx.ambients[ai].describe(),
                     "checker": ctx.checker_name,
                     "sets": [s.to_json() for s in sets],
-                    "budget": budget,
                     "verdict": verdict.to_json(),
                 }
             )
@@ -424,7 +420,6 @@ def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
     the filter rejects are skipped, heads the checker's slab entry vouches
     for are checked, and only the tail and the heads left over are
     decoded and go through _sweep."""
-    budget = ctx.spec.budget
     flat = start
     while flat < end:
         ai, offset = ctx.locate(flat)
@@ -452,7 +447,7 @@ def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
                 pending = heads[i:j]
                 if slab_entry is not None:
                     try:
-                        pending = slab_entry(pending, tail, budget)
+                        pending = slab_entry(pending, tail)
                     except PreconditionViolated:
                         pass  # every head goes to the runner, which skips it
                     tally["checked"] += j - i - len(pending)
@@ -530,19 +525,29 @@ class SearchReport:
         }
 
 
+def _over_ceiling(bits: int, ceiling: int) -> CeilingExceeded:
+    """The error for a space of at least 2^bits instances, above ceiling."""
+    return CeilingExceeded(f"at least 2**{bits} instances exceed the ceiling {ceiling}")
+
+
 def run_search(spec: SearchSpec) -> SearchReport:
     """Partition the instance space into fixed-size items, run them on the
     requested number of workers, and merge the results in item order."""
     started = time.monotonic()
-    _validate_spec(spec)
+    _, ambients = _validate_spec(spec)
+    exhaustive = spec.mode["kind"] == "exhaustive"
+    if exhaustive:
+        # an ambient of n elements has more than 2^(n k - 1) instances over
+        # k slots, since a reduced slot keeps more than half of its masks;
+        # checked before any slot's 2^n masks are counted
+        bits = max(a.carrier_size for a in ambients) * spec.n_summands - 1
+        if bits >= spec.ceiling.bit_length():
+            raise _over_ceiling(bits, spec.ceiling)
     spec_json = json.dumps(spec.to_json(), sort_keys=True)
     ctx = _context(spec_json)
-    if spec.mode["kind"] == "exhaustive":
+    if exhaustive:
         if ctx.total > spec.ceiling:
-            raise CeilingExceeded(
-                f"at least 2**{ctx.total.bit_length() - 1} instances exceed"
-                f" the ceiling {spec.ceiling}"
-            )
+            raise _over_ceiling(ctx.total.bit_length() - 1, spec.ceiling)
         chunk = _CHUNK_EXHAUSTIVE
     else:
         chunk = _CHUNK_RANDOM
@@ -595,7 +600,8 @@ def replay(instance: dict):
     """
     if not isinstance(instance, dict):
         raise MalformedInstance(f"instance must be an object, got {instance!r}")
-    # violation records carry their verdict, which replay recomputes
+    # violation records carry their verdict, which replay recomputes, and
+    # records of earlier versions a budget, which orders no longer read
     unknown = set(instance) - {"ambient", "checker", "sets", "budget", "verdict"}
     if unknown:
         raise MalformedInstance(f"unknown instance keys: {sorted(unknown)}")
@@ -610,10 +616,9 @@ def replay(instance: dict):
         raise
     except (CdlabError, KeyError, TypeError, ValueError) as exc:
         raise MalformedInstance(f"cannot decode instance: {exc}") from exc
-    budget = _int_field(
-        instance.get("budget", DEFAULT_BUDGET), "budget", 1, MalformedInstance
-    )
+    if "budget" in instance:
+        _int_field(instance["budget"], "budget", 1, MalformedInstance)
     try:
-        return run_checker(name, sets, budget)
+        return run_checker(name, sets)
     except SpecInvalid as exc:
         raise MalformedInstance(str(exc)) from exc

@@ -8,15 +8,16 @@ table lookups otherwise).  Other ambients use frozensets of elements.
 Difference sets scan the carrier of a finite ambient, which is exact
 without cancellativity, and divide pair by pair over an infinite one.
 
-Generated subsemigroups are computed by frontier expansion under a budget;
-order computations consult each kind's analytic infinitude rule first, so
-none of the built-in kinds can run away.
+Generated subsemigroups are computed by frontier expansion under a budget.
+Orders are exact: they consult each kind's analytic rule first, which
+either certifies infinitude or bounds the closure, and then walk the
+closure to that bound, so none of the built-in kinds can run away.
 """
 
 from dataclasses import dataclass
 
 from .ambient import Ambient, ZMod, TABLE_CAP
-from .errors import AmbientMismatch, BudgetExceeded, ElementAmbientMismatch
+from .errors import AmbientMismatch, ElementAmbientMismatch, InvariantBroken
 from .extnat import INF, ExtNat
 
 DEFAULT_BUDGET = 10**6
@@ -357,28 +358,28 @@ def generated_sym(X: FinSet, budget: int = DEFAULT_BUDGET) -> GenResult:
     return generated(widened, max(budget, len(base)))
 
 
-def ord_elem(a: Ambient, x, budget: int = DEFAULT_BUDGET) -> ExtNat:
+def ord_elem(a: Ambient, x) -> ExtNat:
     """Size of the cyclic orbit {x, x+x, ...}, possibly INF: the order of
     the singleton {x}."""
-    return ord_set(FinSet(a, (x,)), budget)
+    return ord_set(FinSet(a, (x,)))
 
 
-def ord_set(X: FinSet, budget: int = DEFAULT_BUDGET) -> ExtNat:
+def ord_set(X: FinSet) -> ExtNat:
     """Size of the subsemigroup generated by X, possibly INF.
 
     The analytic rules certify infinitude (a nonzero lattice vector, a
     nonempty word, an infinite factor orbit); when they certify a finite
-    bound instead, the closure is enumerated up to the larger of budget
-    and that bound, and BudgetExceeded is raised if it has not stabilized.
+    bound instead, the closure is enumerated up to that bound.  A closure
+    that outgrows it means the kind's rule is wrong: InvariantBroken.
     """
     if not X.elements:
         return 0
     bound = X.ambient.gen_size_bound(X.elements)
     if bound == INF:
         return INF
-    res = generated(X, max(budget, bound))
+    res = generated(X, bound)
     if not res.complete:
-        raise BudgetExceeded("closure did not stabilize within budget")
+        raise InvariantBroken(f"closure outgrew its bound {bound}")
     return res.budget_used
 
 

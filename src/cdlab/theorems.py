@@ -20,7 +20,6 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import (
-    BudgetExceeded,
     EmptySet,
     InvariantBroken,
     PreconditionViolated,
@@ -29,7 +28,6 @@ from .errors import (
 from .extnat import INF, ExtNat, encode_extnat
 from .gamma import gamma_set, gamma_tuple, normalize_pair
 from .setops import (
-    DEFAULT_BUDGET,
     MEMO_SIZE,
     FinSet,
     _raw_column,
@@ -76,17 +74,17 @@ def _require(cond: bool, why: str):
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _closure_pair(S: FinSet, budget: int):
+def _closure_pair(S: FinSet):
     """(closure of S, closure of S with unit inverses adjoined), or None
-    when the closure is provably infinite."""
+    when the closure is provably infinite.  Both walk to the kind's bound;
+    a closure that outgrows it means the rule is wrong."""
     bound = S.ambient.gen_size_bound(S.elements)
     if bound == INF:
         return None
-    eff = max(budget, bound)
-    plain = generated(S, eff)
-    sym = generated_sym(S, eff)
+    plain = generated(S, bound)
+    sym = generated_sym(S, bound)
     if not (plain.complete and sym.complete):
-        raise BudgetExceeded("closure of the set did not stabilize within budget")
+        raise InvariantBroken(f"closure of the set outgrew its bound {bound}")
     return plain.closure, sym.closure
 
 
@@ -236,11 +234,11 @@ class TheoremVerdict:
         }
 
 
-def check_theorem_main(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> TheoremVerdict:
+def check_theorem_main(X: FinSet, Y: FinSet) -> TheoremVerdict:
     """Evaluate branch (i), the additive bound
     |X+Y| >= |X| + min(gamma(Y), |Y|-1), and branch (ii), the structure
     identity X + 2Y = X + Y + y for some unit y of Y, and report both."""
-    gam, d = _theorem_rhs(Y, budget)
+    gam, d = _theorem_rhs(Y)
     _, lhs, structure = _structure_test(X, Y)
     rhs = len(X.elements) + d
     branch_i = lhs >= rhs
@@ -262,21 +260,21 @@ def check_theorem_main(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Th
     )
 
 
-def _theorem_rhs(Y: FinSet, budget: int):
+def _theorem_rhs(Y: FinSet):
     """The hypotheses of the dichotomy on Y, then (gamma(Y), d) with
     d = min(gamma(Y), |Y| - 1): branch (i) reads |X + Y| >= |X| + d."""
     _require(Y.ambient.axioms.cancellative, "the dichotomy needs a cancellative ambient")
     _require(bool(Y.elements), "the dichotomy needs a nonempty Y")
     _require(is_commutative_generated(Y), "the dichotomy needs commutative <Y>")
-    gam = gamma_set(Y, budget).value
+    gam = gamma_set(Y).value
     return gam, int(min(gam, len(Y.elements) - 1))
 
 
-def slab_theorem_main(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
+def slab_theorem_main(heads, Y: FinSet):
     """Slab entry of check_theorem_main: the heads X (carrier masks, in
     order) where branch (i) fails against Y, which only the structure test
     can settle."""
-    _, d = _theorem_rhs(Y, budget)
+    _, d = _theorem_rhs(Y)
     col = _raw_column(Y.ambient, Y.elements)
     return [m for m in heads if col[m].bit_count() < m.bit_count() + d]
 
@@ -302,7 +300,7 @@ class EquivalenceVerdict:
         return asdict(self)
 
 
-def check_prop_equiv(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> EquivalenceVerdict:
+def check_prop_equiv(X: FinSet, Y: FinSet) -> EquivalenceVerdict:
     """Evaluate all three structure conditions directly and report whether
     they agree:
 
@@ -319,7 +317,7 @@ def check_prop_equiv(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Equi
     xy, _, structure = _structure_test(X, Y)
     cond_i = structure is not None and any(structure(yb) for yb in units)
     cond_ii = structure is not None and all(structure(y) for y in Y.elements)
-    cond_iii = all(_third_condition(a, X.raw, xy, Y, yb, budget) for yb in units)
+    cond_iii = all(_third_condition(a, X.raw, xy, Y, yb) for yb in units)
     agree = cond_i == cond_ii == cond_iii
     witness = None
     if not agree:
@@ -333,14 +331,14 @@ def check_prop_equiv(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Equi
     return EquivalenceVerdict(cond_i, cond_ii, cond_iii, agree, witness)
 
 
-def _third_condition(a, rx, xy, Y, yb, budget) -> bool:
+def _third_condition(a, rx, xy, Y, yb) -> bool:
     """X + <<Y - yb>> = X + <Y - yb> = X + Y - yb, from the raw sets
     rx of X and xy of X + Y."""
     if not rx:
         return True  # every side is empty
     neg = a.invert(yb)
     shifted = FinSet._of(a, _raw_sumset(a, Y.raw, (neg,)))
-    closures = _closure_pair(shifted, budget)
+    closures = _closure_pair(shifted)
     if closures is None:
         # <Y - yb> is provably infinite, so X + <Y - yb> cannot equal the
         # finite right side
@@ -356,7 +354,7 @@ def _third_condition(a, rx, xy, Y, yb, budget) -> bool:
 @dataclass
 class BoundReport:
     """One inequality evaluation: both sides, a holds flag, and a status
-    of "checked", "hypothesis_not_met", or "unknown"."""
+    of "checked" or "hypothesis_not_met"."""
 
     holds: Optional[bool]
     lhs: Optional[int]
@@ -368,12 +366,12 @@ class BoundReport:
         return asdict(self)
 
 
-def check_cor_udt(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundReport:
+def check_cor_udt(X: FinSet, Y: FinSet) -> BoundReport:
     """|X + Y| >= min(gamma(Y), |X| + |Y| - 1) for nonempty X and
     commutative <Y> over a cancellative ambient."""
     nx = len(X.elements)
     _require(nx > 0, "the bound needs a nonempty X")
-    gam, (rhs,) = _udt_rhs(Y, budget, (nx,))
+    gam, (rhs,) = _udt_rhs(Y, (nx,))
     lhs = sumset_size(X, Y)
     return BoundReport(
         holds=lhs >= rhs,
@@ -387,37 +385,36 @@ def check_cor_udt(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRe
     )
 
 
-def _udt_rhs(Y: FinSet, budget: int, sizes):
+def _udt_rhs(Y: FinSet, sizes):
     """The hypotheses of check_cor_udt on Y, then gamma(Y) and the list of
     right sides min(gamma(Y), k + |Y| - 1), one for each |X| = k in sizes."""
     _require(Y.ambient.axioms.cancellative, "the bound needs a cancellative ambient")
     _require(is_commutative_generated(Y), "the bound needs commutative <Y>")
-    gam = gamma_set(Y, budget).value
+    gam = gamma_set(Y).value
     d = len(Y.elements) - 1
     return gam, [min(gam, k + d) for k in sizes]
 
 
-def slab_cor_udt(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
+def slab_cor_udt(heads, Y: FinSet):
     """Slab entry of check_cor_udt: the heads X (carrier masks, in order)
     that fail the bound against Y or that the checker skips (the empty X)."""
     a = Y.ambient
     # need[k] is the right side for |X| = k; nothing meets need[0]
-    _, need = _udt_rhs(Y, budget, range(a.carrier_size + 1))
+    _, need = _udt_rhs(Y, range(a.carrier_size + 1))
     need[0] = INF
     col = _raw_column(a, Y.elements)
     return [m for m in heads if col[m].bit_count() < need[m.bit_count()]]
 
 
-def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundReport:
+def check_cor_hs(X: FinSet, Y: FinSet) -> BoundReport:
     """|X u (X + Y)| >= |X| + min(gamma(Y u {0}), |Y| - [0 in Y]) whenever
     X u (X + Y) differs from X + <<Y>>.
 
     A failed hypothesis is reported as a status, not an error.  When <<Y>>
     is certified infinite and the left side is finite the hypothesis holds
-    outright; if the closure cannot be settled within budget the status is
-    "unknown" rather than a guess.
+    outright.
     """
-    y0set, gam0, d = _hs_rhs(Y, budget)
+    y0set, gam0, d = _hs_rhs(Y)
     _same_ambient(X, Y)
     a = X.ambient
     rx = X.raw
@@ -433,10 +430,7 @@ def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
 
     if not X.elements:
         return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)
-    try:
-        closures = _closure_pair(Y, budget)
-    except BudgetExceeded:
-        return BoundReport(None, lhs, rhs, "unknown", detail)
+    closures = _closure_pair(Y)
     if closures is None:
         hypothesis_met = True
         detail["closure"] = "infinite"
@@ -449,7 +443,7 @@ def check_cor_hs(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
     return BoundReport(lhs >= rhs, lhs, rhs, "checked", detail)
 
 
-def _hs_rhs(Y: FinSet, budget: int):
+def _hs_rhs(Y: FinSet):
     """The hypotheses of check_cor_hs on Y, then (Y u {0}, gamma(Y u {0}), d)
     with d = min(gamma(Y u {0}), |Y| - [0 in Y]): the bound reads
     |X u (X + Y)| >= |X| + d."""
@@ -461,18 +455,18 @@ def _hs_rhs(Y: FinSet, budget: int):
     _require(is_commutative_generated(Y), "this bound needs commutative <Y>")
     ident = a.identity
     y0set = FinSet._of(a, Y.raw | _raw_of(a, (ident,)))
-    gam0 = gamma_set(y0set, budget).value
+    gam0 = gamma_set(y0set).value
     return y0set, gam0, int(min(gam0, len(Y.elements) - (ident in Y.elements)))
 
 
-def slab_cor_hs(heads, Y: FinSet, budget: int = DEFAULT_BUDGET):
+def slab_cor_hs(heads, Y: FinSet):
     """Slab entry of check_cor_hs: the heads X (carrier masks, in order)
     that meet the hypothesis and fail the bound against Y.  The closure of
     Y over a finite ambient is finite and always settles."""
     a = Y.ambient
-    y0set, _, d = _hs_rhs(Y, budget)
+    y0set, _, d = _hs_rhs(Y)
     lhs_col = _raw_column(a, y0set.elements)  # X u (X + Y) = X + (Y u {0})
-    hyp_col = _raw_column(a, _closure_pair(Y, budget)[1].elements)  # X + <<Y>>
+    hyp_col = _raw_column(a, _closure_pair(Y)[1].elements)  # X + <<Y>>
     return [
         m
         for m in heads
@@ -498,7 +492,7 @@ def delta_y(Y: FinSet) -> int:
     )
 
 
-def check_cor_zn(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundReport:
+def check_cor_zn(X: FinSet, Y: FinSet) -> BoundReport:
     """Cyclic-group bound |X + Y| >= |X| + min(n / delta(Y), |Y| - 1),
     applicable when X + 2Y differs from every X + Y + y.
 
@@ -514,7 +508,7 @@ def check_cor_zn(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
     delta = delta_y(Y)
     detail = {"delta": delta, "modulus": n, "x_size": len(X.elements), "y_size": len(Y.elements)}
     if len(Y.elements) >= 2:
-        gam = gamma_set(Y, budget).value
+        gam = gamma_set(Y).value
         detail["gamma_y"] = encode_extnat(gam)
         if gam != n // delta:
             raise InvariantBroken(
@@ -527,13 +521,13 @@ def check_cor_zn(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundRep
     return BoundReport(lhs >= rhs, lhs, rhs, "checked", detail)
 
 
-def check_weaker_bound(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> BoundReport:
+def check_weaker_bound(X: FinSet, Y: FinSet) -> BoundReport:
     """|X + Y| >= min(gamma(X + Y), |X| + |Y| - 1), the sumset-side bound."""
     a = X.ambient
     _require(a.axioms.cancellative, "the bound needs a cancellative ambient")
     _require(bool(X.elements) and bool(Y.elements), "the bound needs nonempty sets")
     xy = sumset(X, Y)
-    gam = gamma_set(xy, budget).value
+    gam = gamma_set(xy).value
     rhs = int(min(gam, len(X.elements) + len(Y.elements) - 1))
     return BoundReport(
         holds=len(xy) >= rhs,
@@ -543,7 +537,7 @@ def check_weaker_bound(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> Bo
     )
 
 
-def conjecture_holds(Xs, budget: int = DEFAULT_BUDGET) -> BoundReport:
+def conjecture_holds(Xs) -> BoundReport:
     """|X1 + ... + Xn| >= min(gamma(X1, ..., Xn), |X1| + ... + |Xn| + 1 - n),
     evaluated by folding the sumset left to right."""
     Xs = list(Xs)
@@ -551,7 +545,7 @@ def conjecture_holds(Xs, budget: int = DEFAULT_BUDGET) -> BoundReport:
         raise ValueError("the conjectured bound needs at least one set")
     a = Xs[0].ambient
     _require(a.axioms.cancellative, "the conjectured bound assumes cancellativity")
-    gam = gamma_tuple(Xs, budget)  # raises AmbientMismatch before the fold
+    gam = gamma_tuple(Xs)  # raises AmbientMismatch before the fold
     acc = Xs[0].raw
     for X in Xs[1:]:
         acc = _raw_sumset(a, acc, X.elements)
@@ -606,7 +600,7 @@ class DescentTrace:
     the chained certificate for the original pair."""
 
     steps: list
-    outcome: str  # bound_certified | structure_case | budget_exhausted
+    outcome: str  # bound_certified | structure_case
     certificate: dict
     ambient: object
 
@@ -618,7 +612,7 @@ class DescentTrace:
         }
 
 
-def descent(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> DescentTrace:
+def descent(X: FinSet, Y: FinSet) -> DescentTrace:
     """Iterate normalization and Davenport transforms, shrinking Y.
 
     Each round: translate the pair so the identity sits in Y and every
@@ -644,58 +638,53 @@ def descent(X: FinSet, Y: FinSet, budget: int = DEFAULT_BUDGET) -> DescentTrace:
 
     orig_xy = sumset_size(X, Y)
     orig_sizes = (len(X.elements), len(Y.elements))
-    gam_orig = gamma_set(Y, budget).value
+    gam_orig = gamma_set(Y).value
     steps = []
     cur_x, cur_y = X, Y
-    try:
-        while True:
-            k = sumset_size(cur_x, cur_y)
-            gam = gamma_set(cur_y, budget).value
-            kappa = k - len(cur_x.elements) + 1
-            if kappa > gam:
-                # k >= |X| + gamma(Y) here, so the additive bound holds
-                # through gamma with nothing left to transform
-                cert = _certificate(
-                    "gamma_threshold", orig_xy, orig_sizes, gam_orig, steps, cur_y
-                )
-                return DescentTrace(steps, "bound_certified", cert, a)
-            t = normalize_pair(cur_x, cur_y, kappa, budget)
-            xy0 = sumset(t.x0, t.y0)
-            x2y0 = sumset(xy0, t.y0)
-            gap = [z for z in x2y0.elements if z not in xy0]
-            if not gap:
-                cert = _certificate(
-                    "structure_case", orig_xy, orig_sizes, gam_orig, steps, cur_y
-                )
-                cert["structure_witness"] = a.encode(a.identity)
-                return DescentTrace(steps, "structure_case", cert, a)
-            z = gap[0]
-            pair = davenport_transform(t.x0, t.y0, z)
-            ledger_ok = pair.ledger
-            if len(pair.y_keep) >= len(t.y0):
-                raise InvariantBroken("transform failed to shrink Y")
-            steps.append(
-                DescentStep(
-                    x_size=len(cur_x.elements),
-                    y_size=len(cur_y.elements),
-                    sumset_size=k,
-                    kappa=kappa,
-                    shift=t.shift,
-                    z=z,
-                    pair=pair,
-                    ledger_ok=ledger_ok,
-                )
+    while True:
+        k = sumset_size(cur_x, cur_y)
+        gam = gamma_set(cur_y).value
+        kappa = k - len(cur_x.elements) + 1
+        if kappa > gam:
+            # k >= |X| + gamma(Y) here, so the additive bound holds
+            # through gamma with nothing left to transform
+            cert = _certificate(
+                "gamma_threshold", orig_xy, orig_sizes, gam_orig, steps, cur_y
             )
-            cur_x, cur_y = t.x0, pair.y_keep
-            if len(cur_y.elements) < 2:
-                cert = _certificate(
-                    "chain_bottom", orig_xy, orig_sizes, gam_orig, steps, cur_y
-                )
-                return DescentTrace(steps, "bound_certified", cert, a)
-    except BudgetExceeded as exc:
-        cert = _certificate("budget", orig_xy, orig_sizes, gam_orig, steps, cur_y)
-        cert["error"] = str(exc)
-        return DescentTrace(steps, "budget_exhausted", cert, a)
+            return DescentTrace(steps, "bound_certified", cert, a)
+        t = normalize_pair(cur_x, cur_y, kappa)
+        xy0 = sumset(t.x0, t.y0)
+        x2y0 = sumset(xy0, t.y0)
+        gap = [z for z in x2y0.elements if z not in xy0]
+        if not gap:
+            cert = _certificate(
+                "structure_case", orig_xy, orig_sizes, gam_orig, steps, cur_y
+            )
+            cert["structure_witness"] = a.encode(a.identity)
+            return DescentTrace(steps, "structure_case", cert, a)
+        z = gap[0]
+        pair = davenport_transform(t.x0, t.y0, z)
+        ledger_ok = pair.ledger
+        if len(pair.y_keep) >= len(t.y0):
+            raise InvariantBroken("transform failed to shrink Y")
+        steps.append(
+            DescentStep(
+                x_size=len(cur_x.elements),
+                y_size=len(cur_y.elements),
+                sumset_size=k,
+                kappa=kappa,
+                shift=t.shift,
+                z=z,
+                pair=pair,
+                ledger_ok=ledger_ok,
+            )
+        )
+        cur_x, cur_y = t.x0, pair.y_keep
+        if len(cur_y.elements) < 2:
+            cert = _certificate(
+                "chain_bottom", orig_xy, orig_sizes, gam_orig, steps, cur_y
+            )
+            return DescentTrace(steps, "bound_certified", cert, a)
 
 
 def _certificate(reason, orig_xy, orig_sizes, gam_orig, steps, final_y) -> dict:

@@ -1,8 +1,12 @@
+import argparse
+import inspect
 import json
+import os
 
 import pytest
 
-from cdlab.cli import main
+import cdlab
+from cdlab.cli import build_parser, main
 
 Z6 = '{"kind":"zmod","n":6}'
 Z4 = '{"kind":"zmod","n":4}'
@@ -186,6 +190,18 @@ def _spec(**fields):
         ("gamma", "--ambient", Z6, "--x", "5"),
         # a file that exists but holds no JSON: this test module
         ("gamma", "--ambient", Z6, "--x", __file__),
+        # a budget below 1 on the one subcommand that takes it
+        ("generated", "--ambient", Z6, "--x", "[2]", "--budget", "0"),
+        # argument errors: an unknown flag, a bad int, no command, a flag
+        # another subcommand owns
+        ("gamma", "--ambient", Z6, "--x", "[0,2]", "--bogus", "1"),
+        ("sumset", "--ambient", Z6, "--x", "[0]", "--n", "x"),
+        (),
+        ("gamma", "--ambient", Z6, "--x", "[0,2]", "--budget", "3"),
+        # an --out path that cannot be written: a missing directory, a directory
+        ("gamma", "--ambient", Z6, "--x", "[0,2]", "--out",
+         os.path.join(os.path.dirname(__file__), "no-such-dir", "report.json")),
+        ("gamma", "--ambient", Z6, "--x", "[0,2]", "--out", os.path.dirname(__file__)),
     ],
 )
 def test_malformed_field_types_exit_2(capsys, argv):
@@ -198,7 +214,7 @@ def test_broken_invariant_exits_3(capsys, monkeypatch):
     from cdlab import theorems
     from cdlab.gamma import GammaValue
 
-    monkeypatch.setattr(theorems, "gamma_set", lambda Y, budget: GammaValue(5))
+    monkeypatch.setattr(theorems, "gamma_set", lambda Y: GammaValue(5))
     status, out, err = run_cli(
         capsys, "check", "--which", "zn", "--ambient", Z6, "--x", "[0]", "--y", "[0,2]"
     )
@@ -206,10 +222,10 @@ def test_broken_invariant_exits_3(capsys, monkeypatch):
     assert err.startswith("cdlab: internal error: ") and err.count("\n") == 1
 
 
-def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+def test_usage_error_exits_2(capsys):
+    status, out, err = run_cli(capsys, "no-such-command")
+    assert status == 2 and out == ""
+    assert err.startswith("cdlab: ") and err.count("\n") == 1
 
 
 def test_violation_exits_1(capsys, monkeypatch, fresh_context):
@@ -217,7 +233,7 @@ def test_violation_exits_1(capsys, monkeypatch, fresh_context):
     from cdlab.theorems import BoundReport
 
     fake = search_mod.Checker(
-        2, lambda sets, budget: BoundReport(holds=False, lhs=0, rhs=1)
+        2, lambda sets: BoundReport(holds=False, lhs=0, rhs=1)
     )
     monkeypatch.setitem(search_mod.CHECKERS, "udt", fake)
     status, out, _ = run_cli(
@@ -245,7 +261,6 @@ def test_search_and_replay_via_files(capsys, tmp_path):
                 "checker": "theorem",
                 "subset_filter": {"nonempty": True},
                 "mode": {"kind": "random", "trials": 200},
-                "budget": 5000,
             }
         )
     )
@@ -255,11 +270,6 @@ def test_search_and_replay_via_files(capsys, tmp_path):
     assert status == 0
     doc = json.loads(out)
     assert doc["violations"] == [] and doc["seed"] == 5
-    assert doc["spec"]["budget"] == 5000  # no --budget, so the spec's stands
-    status, out, _ = run_cli(
-        capsys, "search", "--spec", str(spec_file), "--seed", "5", "--budget", "7"
-    )
-    assert status == 0 and json.loads(out)["spec"]["budget"] == 7
 
     inst = tmp_path / "inst.json"
     inst.write_text(
@@ -323,3 +333,26 @@ def test_table_format_and_out_file(capsys, tmp_path):
     rows = dict(line.split(None, 1) for line in out.splitlines())
     assert rows["y_keep"] == "[0]" and rows["witnesses"] == "{}"
     assert json.loads(rows["sides"])["y_size"] == 2
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gamma", "-h"])
+    assert exc.value.code == 0 and "--ambient" in capsys.readouterr().out
+
+
+def test_only_generated_takes_a_budget():
+    # orders are exact; only a closure walk over an infinite ambient is cut
+    takers = set()
+    for name in dir(cdlab):
+        obj = getattr(cdlab, name)
+        if callable(obj) and "budget" in inspect.signature(obj).parameters:
+            takers.add(name)
+    assert takers == {"generated", "generated_sym"}
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    flagged = {
+        cmd
+        for cmd, p in sub.choices.items()
+        if any("--budget" in a.option_strings for a in p._actions)
+    }
+    assert flagged == {"generated"}

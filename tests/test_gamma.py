@@ -21,7 +21,6 @@ from cdlab import (
     sumset_size,
 )
 from cdlab.errors import AmbientMismatch, EmptySet, NotAUnit, NoWitness, PreconditionViolated
-from cdlab.setops import DEFAULT_BUDGET
 
 Z5 = make_ambient({"kind": "zmod", "n": 5})
 Z6 = make_ambient({"kind": "zmod", "n": 6})
@@ -367,9 +366,9 @@ def test_large_product_reads_each_difference_order_once(monkeypatch):
     calls = []
     walk = gamma.ord_elem
 
-    def counted(a, x, budget=DEFAULT_BUDGET):
+    def counted(a, x):
         calls.append(x)
-        return walk(a, x, budget)
+        return walk(a, x)
 
     monkeypatch.setattr(gamma, "ord_elem", counted)
     gamma.gamma_set.cache_clear()

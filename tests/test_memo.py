@@ -9,7 +9,7 @@ import pytest
 
 import cdlab
 from cdlab import FinSet, SearchSpec, fixtures, gamma, make_ambient, run_search, search, theorems
-from cdlab.setops import DEFAULT_BUDGET, MEMO_SIZE
+from cdlab.setops import MEMO_SIZE
 
 MODULES = [
     importlib.import_module(f"cdlab.{info.name}")
@@ -79,27 +79,14 @@ def test_every_memo_is_bounded():
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cached_gamma_agrees_with_uncached(seed):
     for X in _seeded_sets(f"gamma:{seed}"):
-        want = gamma.gamma_set.__wrapped__(X, DEFAULT_BUDGET)
-        assert gamma.gamma_set(X, DEFAULT_BUDGET) == want
-        assert gamma.gamma_set(X, DEFAULT_BUDGET) == want  # now a hit
+        want = gamma.gamma_set.__wrapped__(X)
+        assert gamma.gamma_set(X) == want
+        assert gamma.gamma_set(X) == want  # now a hit
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cached_closures_agree_with_uncached(seed):
     for S in _seeded_sets(f"closure:{seed}"):
-        want = theorems._closure_pair.__wrapped__(S, DEFAULT_BUDGET)
-        assert theorems._closure_pair(S, DEFAULT_BUDGET) == want
-        assert theorems._closure_pair(S, DEFAULT_BUDGET) == want  # now a hit
-
-
-def test_gamma_memo_key_ignores_how_the_budget_is_passed():
-    gamma.gamma_set.cache_clear()
-    X = FinSet(make_ambient({"kind": "zmod", "n": 6}), [0, 2, 3])
-    values = {
-        gamma.gamma_set(X),
-        gamma.gamma_set(X, DEFAULT_BUDGET),
-        gamma.gamma_set(X, budget=DEFAULT_BUDGET),
-    }
-    info = gamma.gamma_set.cache_info()
-    assert len(values) == 1
-    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+        want = theorems._closure_pair.__wrapped__(S)
+        assert theorems._closure_pair(S) == want
+        assert theorems._closure_pair(S) == want  # now a hit

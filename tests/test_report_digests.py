@@ -24,98 +24,98 @@ DIGESTS = [
     (
         dict(family={"kind": "zmod_range", "lo": 2, "hi": 6}, checker="theorem",
              subset_filter=_NONEMPTY),
-        "30299db6a1bd91e1db0c5fe2fc3378591f1a54e6e2658d33adea4c1777236239",
+        "194471cf4d4e56116092440d4a264a4a0e844961e8b571432d9a9e432a533837",
     ),
     (
         dict(family={"kind": "zmod_range", "lo": 1, "hi": 5}, checker="prop13"),
-        "9d0304ff577285a003c8d8c3de8c85f1ef2519d50e422f44a9f7786d69d9924c",
+        "c668bdf7dfa71933cd66cca4e2c19799f56f51a132e542dd22fb11b06e5c307e",
     ),
     (
         dict(family={"kind": "zmod_range", "lo": 2, "hi": 9}, checker="udt",
              subset_filter=_NONEMPTY),
-        "5aa00cbd071f563872d718096f0da880885262b9f9383652d0dccb313280e0c0",
+        "7905d379e3a1da8cbae80cd6e47eff911becf2d9550585c5226048608fd41ff8",
     ),
     (
         dict(family={"kind": "zmod_range", "lo": 2, "hi": 9}, checker="udt",
              subset_filter=_NONEMPTY, workers=2),
-        "aef8f4d5a9ab69f99459735b10d860702590234f31cd9bb2c2cd268adc8e20d2",
+        "ddc711341067fbafb5856e0e2cef116876bfacbc8a1779a6e9dd187e2f4dd3af",
     ),
     (
         dict(family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="hs",
              subset_filter={"contains_identity": True}),
-        "dca2449741f1bf19f3e3d5ac3ac02a1281fd3bd21c0b1c08febfdc58fe45e712",
+        "f33c5113047fd21b2c5d68193433217e8076a3a755e10c740e3925f72d487723",
     ),
     (
         dict(family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="zn",
              subset_filter={"nonempty": True, "max_size": 3}),
-        "d55a147ccef770f4833a47063da2858b77da551e01c54a7ae1e546f70d83fab4",
+        "ea9b34ed309e820fea9020d126bee12b7c9cf90930c6956828f493d643c53fe3",
     ),
     (
         dict(family={"kind": "abelian_up_to_order", "max_order": 6}, checker="weaker",
              subset_filter=_NONEMPTY, symmetry_reduction=True),
-        "0c0f8ae1e676c14ece1ce4c4a0752f23737deae26dc65d0208c17d89f93b0af4",
+        "e74a1b095a690c9206a3d175358e956cee133506f37b1732f37500dc06180407",
     ),
     (
         dict(family={"kind": "zmod_range", "lo": 1, "hi": 7}, checker="conjecture",
              n_summands=1, symmetry_reduction=True),
-        "78683a345e2084e3a561ee6af00abbb8a23e3893b5d055001df0bb9ac65c91d7",
+        "f735b66638354bad68bbb65721177da72b948627b1e17eac0516a50f2f7bf575",
     ),
     (
         dict(family={"kind": "explicit", "ambients": [_S3]}, checker="theorem",
              subset_filter={"commutative_generated": True, "max_size": 3},
              symmetry_reduction=True),
-        "f3bdf2e757e13892569b058943027adf8b181b5ef478d1764f21ddd1e24e9596",
+        "4f4a7216394253441c420c5bea746ba23d0448159814a2a9f34c7c24b6d4268c",
     ),
     (
         dict(family={"kind": "explicit", "ambients": [_S3]}, checker="conjecture",
              n_summands=1, subset_filter={"contains_identity": True,
                                           "commutative_generated": True}),
-        "e6bd75937fd771623ee2e45540a77570315038d5c44bbaa24d7f7ae7b74260e5",
+        "687eea63ce347c7703d499e602e0bee3c6655f5d63492290cff63063424b5d8f",
     ),
     (
         dict(family={"kind": "explicit", "ambients": [_S3]}, checker="prop13",
              subset_filter={"nonempty": True, "contains_identity": True,
                             "commutative_generated": True, "max_size": 4},
              mode={"kind": "random", "seed": 7, "trials": 2000}),
-        "313d98f54b018fcd08e0cfc3c424e9e023ba95fa07b21ce11ef71fc15c3a8b50",
+        "4b771bdbdd1271026dfd49f8db160ea692d99d800bc1121478ef7acfe945626f",
     ),
     (
         dict(family={"kind": "abelian_up_to_order", "max_order": 8}, checker="conjecture",
              n_summands=3, subset_filter=_NONEMPTY,
              mode={"kind": "random", "seed": 99, "trials": 5000}),
-        "269c33f9e677cb0a2eacbcede8e27440d03ed2d3dae8f0fb4a79eaddbeaf3847",
+        "a8cf9c23a9a880aa0354c42262737c38e5e706fbde24158de03eac47784f53dd",
     ),
     (
         dict(family={"kind": "abelian_up_to_order", "max_order": 8}, checker="conjecture",
              n_summands=3, subset_filter=_NONEMPTY,
              mode={"kind": "random", "seed": 99, "trials": 5000}, workers=2),
-        "0281652b02fb3e24f7bf4ee16f655387c396a35cb99ec42d545e608e3aba9b0b",
+        "40010b4cedb186bc593edd18c524cc5828fc29db587d43801e7d972465d16c3a",
     ),
     (
         # reports nine counterexamples to the conjectured n-ary bound
         dict(family={"kind": "zmod_range", "lo": 8, "hi": 8}, checker="conjecture",
              n_summands=3, subset_filter={"nonempty": True, "max_size": 3},
              mode={"kind": "random", "seed": 5, "trials": 6000}),
-        "c10d13e8edc8fe6a76c6b7d092da33d2d27876c74fc2745d15e4e6a7896dbf15",
+        "8f6469a66fed6049c5a34fe7f12cff044df4d07ce8e0e48702b05d8851b5ce71",
     ),
     # slabs whose tail fails the checker's hypotheses (no cancellativity,
     # or an empty Y): their skips come from the runner the search falls
     # back to when a slab entry raises
     (
         dict(family={"kind": "explicit", "ambients": [_LZB]}, checker="udt"),
-        "347328e948913c1dd925bd096e89688995e6b8f2822a38824d9b846e3ba5b5e7",
+        "8d7d8983de01d2544d0f3cfea114ec7f72451c4aff944f61fbc871eb37f3111d",
     ),
     (
         dict(family={"kind": "explicit", "ambients": [_LZB]}, checker="theorem"),
-        "ab82cdff2e6bed4157b417717ad5ba004cb7242e97f06017db15a900f2406a63",
+        "278f18d245cd7b0e31ad6227f578e9843b7ba58daf1083daf1b9651796ec5d35",
     ),
     (
         dict(family={"kind": "explicit", "ambients": [_LZB]}, checker="hs"),
-        "9c30fb3791a838a5ec0a23010a7f8784af881240e28bde1fc7b9cc35c3f0bfe4",
+        "bef2e5406cfb02ae4a5bf38b500ef58f1426187ecf9abaa0287a779da5cecc2f",
     ),
     (
         dict(family={"kind": "zmod_range", "lo": 1, "hi": 5}, checker="theorem"),
-        "1eb35ce53c31febcb2d3f3ab4fbd58c954086698f144735cf4b1b9af91603a46",
+        "56731a8ed32847529d297ccd88e32d047f17f622608a0ce370ea6a114fb66134",
     ),
 ]
 

@@ -110,6 +110,11 @@ def test_spec_validation():
         )
     with pytest.raises(SpecInvalid):
         SearchSpec.from_json({"family": {"kind": "zmod_range", "lo": 2, "hi": 3}})
+    # orders are exact, so a spec has no closure budget to name
+    with pytest.raises(SpecInvalid, match="unknown spec fields"):
+        SearchSpec.from_json(
+            {"family": {"kind": "zmod_range", "lo": 2, "hi": 3}, "checker": "udt", "budget": 5}
+        )
     with pytest.raises(CeilingExceeded):
         run_search(
             SearchSpec(
@@ -122,6 +127,25 @@ def test_spec_validation():
     with pytest.raises(CeilingExceeded, match="ceiling"):
         run_search(SearchSpec(family={"kind": "zmod_range", "lo": 8000, "hi": 8000}, checker="udt"))
     assert resolve_checker("theorem_main") == "theorem"
+
+
+def test_ceiling_is_checked_before_any_mask_range_exists():
+    # 2^(10^12) masks per slot: the count alone would need about 125 GB
+    huge = 10**12
+    for family in (
+        {"kind": "explicit", "ambients": [{"kind": "zmod", "n": huge}]},
+        {"kind": "zmod_range", "lo": huge, "hi": huge},
+    ):
+        with pytest.raises(CeilingExceeded, match=r"^at least 2\*\*1999999999999 instances"):
+            run_search(SearchSpec(family=family, checker="udt"))
+    # Z4 with a reduced last slot has 16 * 9 = 144 instances, above 2^7:
+    # at the count itself the search runs, and one below it is refused
+    z4 = dict(family={"kind": "zmod_range", "lo": 4, "hi": 4}, checker="udt",
+              symmetry_reduction=True)
+    assert run_search(SearchSpec(**z4, ceiling=144)).instances_checked > 0
+    for ceiling in (143, 127):
+        with pytest.raises(CeilingExceeded, match=r"^at least 2\*\*7 instances"):
+            run_search(SearchSpec(**z4, ceiling=ceiling))
 
 
 def test_family_ambients():
@@ -256,8 +280,8 @@ def test_violation_instances_replay(monkeypatch, fresh_context):
 
     real = search_mod.CHECKERS["udt"]
 
-    def fake_run(sets, budget):
-        r = real.run(sets, budget)
+    def fake_run(sets):
+        r = real.run(sets)
         if len(sets[0]) == 1 and len(sets[1]) == 1:
             return BoundReport(holds=False, lhs=r.lhs, rhs=r.rhs, detail=r.detail)
         return r
@@ -397,7 +421,7 @@ def _brute_force(spec):
                 continue
             sets = [FinSet.from_mask(a, m) for m in masks]
             try:
-                verdict = chk.run(sets, spec.budget)
+                verdict = chk.run(sets)
             except PreconditionViolated:
                 skipped += 1
                 continue
@@ -414,9 +438,9 @@ def _slab_reports(monkeypatch, spec):
     chk = search_mod.CHECKERS[name]
     calls = []
 
-    def run(sets, budget):
+    def run(sets):
         calls.append(1)
-        return chk.run(sets, budget)
+        return chk.run(sets)
 
     reports = []
     for slab in (None, chk.slab):
@@ -470,8 +494,8 @@ def test_slab_edges_keep_violation_order(monkeypatch, fresh_context):
 
     real = search_mod.CHECKERS["udt"]
 
-    def fake_run(sets, budget):
-        r = real.run(sets, budget)
+    def fake_run(sets):
+        r = real.run(sets)
         if len(sets[0]) == 1 and len(sets[1]) == 1:
             return BoundReport(holds=False, lhs=r.lhs, rhs=r.rhs, detail=r.detail)
         return r
@@ -492,8 +516,8 @@ def test_slab_path_keeps_violation_order(monkeypatch, fresh_context):
     # the slab sends exactly the heads failing branch (i) to the runner
     real = search_mod.CHECKERS["theorem"]
 
-    def fake_run(sets, budget):
-        v = real.run(sets, budget)
+    def fake_run(sets):
+        v = real.run(sets)
         if v.branch_ii and not v.branch_i:
             return dataclasses.replace(v, disjunction_holds=False)
         return v
@@ -524,7 +548,7 @@ def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
     from cdlab.extnat import INF
     from cdlab.gamma import GammaValue
 
-    monkeypatch.setattr(theorems, "gamma_set", lambda X, budget: GammaValue(INF))
+    monkeypatch.setattr(theorems, "gamma_set", lambda X: GammaValue(INF))
     specs = [
         SearchSpec(**s)
         for s in (
@@ -577,8 +601,8 @@ def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_con
     chk = search_mod.CHECKERS["theorem"]
     handed = set()
 
-    def slab(heads, tail, budget):
-        pending = chk.slab(heads, tail, budget)
+    def slab(heads, tail):
+        pending = chk.slab(heads, tail)
         handed.update((tail[0].ambient, m) for m in pending)
         return pending
 
@@ -598,9 +622,9 @@ def test_reduced_slot_zero_runs_the_sets_holding_the_identity(monkeypatch, fresh
     real = search_mod.CHECKERS["conjecture"]
     seen = []
 
-    def run(sets, budget):
+    def run(sets):
         seen.append(sets[0])
-        return real.run(sets, budget)
+        return real.run(sets)
 
     monkeypatch.setitem(search_mod.CHECKERS, "conjecture", dataclasses.replace(real, run=run))
     run_search(SearchSpec(

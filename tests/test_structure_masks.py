@@ -12,7 +12,6 @@ import pytest
 import oracles
 from cdlab import FinSet, fixtures, make_ambient, search, setops, theorems, units_of
 from cdlab.errors import CdlabError
-from cdlab.setops import DEFAULT_BUDGET
 
 CHECKER_NAMES = tuple(search.CHECKERS)
 
@@ -46,7 +45,7 @@ def _pairs(a, k=60):
 def _outcome(name, X, Y):
     """The verdict JSON of one checker call, or the error it raised."""
     try:
-        ok, doc = search.run_checker(name, [X, Y], DEFAULT_BUDGET)
+        ok, doc = search.run_checker(name, [X, Y])
     except CdlabError as exc:
         return f"{type(exc).__name__}: {exc}"
     return json.dumps([ok, doc], sort_keys=True)
