@@ -44,6 +44,8 @@ from .setops import MEMO_SIZE, FinSet, _mask_form, is_commutative_generated
 from . import theorems
 
 DEFAULT_CEILING = 1 << 30
+# random mode draws a mask with random.getrandbits, which takes a C int
+_MAX_DRAW_BITS = (1 << 31) - 1
 _CHUNK_EXHAUSTIVE = 1 << 16
 _CHUNK_RANDOM = 4096
 
@@ -67,10 +69,10 @@ class Checker:
     for, in order: violations, heads the runner would skip, and heads it
     cannot decide.  Every other head must be one the runner checks and
     does not fail.  The search calls it only over ambients whose sets are
-    carrier masks.  It raises PreconditionViolated, through the helper it
-    shares with its runner, when the tail fails the runner's hypotheses;
-    the search then sends every head through the runner, which skips
-    them."""
+    carrier masks, and only with a tail of at least one set.  It raises
+    PreconditionViolated, through the helper it shares with its runner,
+    when the tail fails the runner's hypotheses; the search then sends
+    every head through the runner, which skips them."""
 
     arity: object
     run: object                        # sets -> verdict object
@@ -103,9 +105,19 @@ CHECKERS = {
         slab=_pair_slab(theorems.slab_cor_udt),
     ),
     "hs": Checker(2, _pair(theorems.check_cor_hs), slab=_pair_slab(theorems.slab_cor_hs)),
-    "zn": Checker(2, _pair(theorems.check_cor_zn), translation_invariant=True),
+    "zn": Checker(
+        2,
+        _pair(theorems.check_cor_zn),
+        translation_invariant=True,
+        slab=_pair_slab(theorems.slab_cor_zn),
+    ),
     "weaker": Checker(2, _pair(theorems.check_weaker_bound), translation_invariant=True),
-    "conjecture": Checker(None, theorems.conjecture_holds, translation_invariant=True),
+    "conjecture": Checker(
+        None,
+        theorems.conjecture_holds,
+        translation_invariant=True,
+        slab=theorems.slab_conjecture,
+    ),
 }
 
 _ALIASES = {"theorem_main": "theorem"}
@@ -270,6 +282,13 @@ def _validate_spec(spec: SearchSpec):
     else:
         _only_keys(mode, "exhaustive mode")
     ambients = family_ambients(spec.family)
+    if mode["kind"] == "random":
+        largest = max(a.carrier_size for a in ambients)
+        if largest > _MAX_DRAW_BITS:
+            raise SpecInvalid(
+                f"random mode draws sets over at most {_MAX_DRAW_BITS} elements, "
+                f"got a carrier of {largest}"
+            )
     if spec.symmetry_reduction:
         if not chk.translation_invariant:
             raise SpecInvalid(f"checker {name!r} is not marked translation invariant")
@@ -424,11 +443,12 @@ def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
     while flat < end:
         ai, offset = ctx.locate(flat)
         a = ctx.ambients[ai]
-        slab_entry = ctx.checker.slab if _mask_form(a) else None
         space = ctx.spaces[ai]
         stop = min(end - ctx.offsets[ai], space.total)
         heads, head_masks = ctx.heads(ai), space.masks(0)
         trailing = [(space.masks(s), space.bases[s]) for s in range(1, len(space.bases))]
+        # a slab entry builds its column over the tail: one summand has none
+        slab_entry = ctx.checker.slab if trailing and _mask_form(a) else None
         width = space.bases[0]
         slab, lo = divmod(offset, width)
         while offset < stop:

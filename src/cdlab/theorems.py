@@ -30,6 +30,7 @@ from .gamma import gamma_set, gamma_tuple, normalize_pair
 from .setops import (
     MEMO_SIZE,
     FinSet,
+    _elements,
     _raw_column,
     _raw_of,
     _raw_size,
@@ -88,21 +89,26 @@ def _closure_pair(S: FinSet):
     return plain.closure, sym.closure
 
 
-def _structure_test(X: FinSet, Y: FinSet):
-    """(raw X + Y, its size, test) where test(y) tells whether
-    X + Y + y = X + 2Y, compared as raw sets.
+def _structure(a, xy, ys):
+    """test(y) telling whether X + Y + y = X + 2Y, compared as raw sets,
+    from the raw set xy of X + Y and the elements ys of Y; None when no y
+    can pass.  Runners and slab entries share it.
 
     The ambient must be cancellative: translation by y is then injective,
-    so no y passes unless |X + 2Y| = |X + Y|, and test is None then.
+    so no y passes unless |X + 2Y| = |X + Y|.
     """
+    x2y = _raw_sumset(a, xy, ys)
+    if _raw_size(x2y) != _raw_size(xy):
+        return None
+    return lambda y: _raw_sumset(a, xy, (y,)) == x2y
+
+
+def _structure_test(X: FinSet, Y: FinSet):
+    """(raw X + Y, its size, _structure of it)."""
     _same_ambient(X, Y)
     a = X.ambient
     xy = _raw_sumset(a, X.raw, Y.elements)
-    x2y = _raw_sumset(a, xy, Y.elements)
-    size = _raw_size(xy)
-    if _raw_size(x2y) != size:
-        return xy, size, None
-    return xy, size, lambda y: _raw_sumset(a, xy, (y,)) == x2y
+    return xy, _raw_size(xy), _structure(a, xy, Y.elements)
 
 
 # -- Davenport transform -----------------------------------------------------
@@ -272,11 +278,21 @@ def _theorem_rhs(Y: FinSet):
 
 def slab_theorem_main(heads, Y: FinSet):
     """Slab entry of check_theorem_main: the heads X (carrier masks, in
-    order) where branch (i) fails against Y, which only the structure test
-    can settle."""
+    order) where both branches fail against Y.  Branch (i) reads |X + Y|
+    off the column; a head failing it takes the structure test on its
+    column entry, against the units of Y."""
     _, d = _theorem_rhs(Y)
-    col = _raw_column(Y.ambient, Y.elements)
-    return [m for m in heads if col[m].bit_count() < m.bit_count() + d]
+    a, ys = Y.ambient, Y.elements
+    units = units_of(Y).elements
+    col = _raw_column(a, ys)
+    pending = []
+    for m in heads:
+        xy = col[m]
+        if xy.bit_count() < m.bit_count() + d:
+            test = _structure(a, xy, ys)
+            if test is None or not any(map(test, units)):
+                pending.append(m)
+    return pending
 
 
 # -- the structure equivalence ------------------------------------------------
@@ -499,26 +515,63 @@ def check_cor_zn(X: FinSet, Y: FinSet) -> BoundReport:
     Also verifies the internal identity gamma(Y) = n / delta(Y) for
     |Y| >= 2; a mismatch is an implementation bug and raises.
     """
-    a = X.ambient
+    delta, gam, d = _zn_rhs(Y)
+    _require(bool(X.elements), "the bound needs nonempty X and Y")
+    _, lhs, structure = _structure_test(X, Y)
+    detail = {
+        "delta": delta,
+        "modulus": Y.ambient.n,
+        "x_size": len(X.elements),
+        "y_size": len(Y.elements),
+    }
+    if gam is not None:
+        detail["gamma_y"] = encode_extnat(gam)
+    hypothesis_met = structure is None or not all(structure(y) for y in Y.elements)
+    rhs = len(X.elements) + d
+    if not hypothesis_met:
+        return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)
+    return BoundReport(lhs >= rhs, lhs, rhs, "checked", detail)
+
+
+def _zn_rhs(Y: FinSet):
+    """The hypotheses of check_cor_zn on Y and the cross-check
+    gamma(Y) = n / delta(Y) when |Y| >= 2, then (delta(Y), gamma(Y) or
+    None, d) with d = min(n / delta(Y), |Y| - 1): the bound reads
+    |X + Y| >= |X| + d."""
+    a = Y.ambient
     if not isinstance(a, ZMod):
         raise WrongAmbient("this bound is specific to zmod ambients")
-    _require(bool(X.elements) and bool(Y.elements), "the bound needs nonempty X and Y")
-    _, lhs, structure = _structure_test(X, Y)
+    _require(bool(Y.elements), "the bound needs nonempty X and Y")
     n = a.n
     delta = delta_y(Y)
-    detail = {"delta": delta, "modulus": n, "x_size": len(X.elements), "y_size": len(Y.elements)}
+    gam = None
     if len(Y.elements) >= 2:
         gam = gamma_set(Y).value
-        detail["gamma_y"] = encode_extnat(gam)
         if gam != n // delta:
             raise InvariantBroken(
                 f"gamma(Y) = {gam} disagrees with n/delta = {n // delta}"
             )
-    hypothesis_met = structure is None or not all(structure(y) for y in Y.elements)
-    rhs = len(X.elements) + min(n // delta, len(Y.elements) - 1)
-    if not hypothesis_met:
-        return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)
-    return BoundReport(lhs >= rhs, lhs, rhs, "checked", detail)
+    return delta, gam, min(n // delta, len(Y.elements) - 1)
+
+
+def slab_cor_zn(heads, Y: FinSet):
+    """Slab entry of check_cor_zn: the heads X (carrier masks, in order)
+    that meet the hypothesis and fail the bound against Y, and the empty X,
+    which the runner skips.  The cross-check runs once, for Y."""
+    _, _, d = _zn_rhs(Y)
+    a, ys = Y.ambient, Y.elements
+    col = _raw_column(a, ys)
+    pending = []
+    for m in heads:
+        if m:
+            xy = col[m]
+            if xy.bit_count() >= m.bit_count() + d:
+                continue
+            test = _structure(a, xy, ys)
+            if test is not None and all(map(test, ys)):
+                continue  # the hypothesis fails
+        pending.append(m)
+    return pending
 
 
 def check_weaker_bound(X: FinSet, Y: FinSet) -> BoundReport:
@@ -544,12 +597,9 @@ def conjecture_holds(Xs) -> BoundReport:
     if not Xs:
         raise ValueError("the conjectured bound needs at least one set")
     a = Xs[0].ambient
-    _require(a.axioms.cancellative, "the conjectured bound assumes cancellativity")
+    _conjecture_require(a)
     gam = gamma_tuple(Xs)  # raises AmbientMismatch before the fold
-    acc = Xs[0].raw
-    for X in Xs[1:]:
-        acc = _raw_sumset(a, acc, X.elements)
-    lhs = _raw_size(acc)
+    lhs = _raw_size(_fold(a, Xs))
     additive = sum(len(X.elements) for X in Xs) + 1 - len(Xs)
     rhs = int(min(gam, additive))
     return BoundReport(
@@ -562,6 +612,49 @@ def conjecture_holds(Xs) -> BoundReport:
             "additive_side": additive,
         },
     )
+
+
+def _conjecture_require(a):
+    """The hypothesis of conjecture_holds, on the ambient."""
+    _require(a.axioms.cancellative, "the conjectured bound assumes cancellativity")
+
+
+def _fold(a, Xs):
+    """X1 + ... + Xn as a raw set, folded left to right."""
+    acc = Xs[0].raw
+    for X in Xs[1:]:
+        acc = _raw_sumset(a, acc, X.elements)
+    return acc
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _mask_gamma(a, m: int) -> ExtNat:
+    """gamma of the set of carrier mask m over the mask-form ambient a:
+    the gamma column that slab_conjecture reads, filled on demand."""
+    return gamma_set(FinSet._of(a, m)).value
+
+
+def slab_conjecture(heads, tail):
+    """Slab entry of conjecture_holds: the heads X1 (carrier masks, in
+    order) that fail the bound with the tail X2, ..., Xn, n >= 2.  One
+    column gives X1 + S for the folded tail S = X2 + ... + Xn.  A head
+    whose sumset reaches the additive side needs no gamma; the others
+    compare it with max(gamma(X1), gamma of the tail parts), and gamma of
+    the tuple is 0 when a set is empty."""
+    a = tail[0].ambient
+    _conjecture_require(a)
+    if not all(tail):
+        return []  # gamma of the tuple is 0, which every sumset meets
+    col = _raw_column(a, _elements(a, _fold(a, tail)))
+    base = sum(len(X.elements) for X in tail) - len(tail)
+    gam = max(gamma_set(X).value for X in tail)
+    return [
+        m
+        for m in heads
+        if m
+        and (c := col[m].bit_count()) < m.bit_count() + base
+        and (c < gam or c < _mask_gamma(a, m))
+    ]
 
 
 # -- certificate-producing descent ---------------------------------------------

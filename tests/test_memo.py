@@ -67,12 +67,14 @@ def test_every_memo_is_bounded():
     assert set(memos) >= {
         ("cdlab.gamma", "gamma_set"),
         ("cdlab.theorems", "_closure_pair"),
+        ("cdlab.theorems", "_mask_gamma"),
         ("cdlab.search", "_context"),
         ("cdlab.search", "_decode"),
     }
     for memo in memos.values():
         assert memo.cache_info().maxsize is not None
     assert gamma.gamma_set.cache_info().maxsize == MEMO_SIZE
+    assert theorems._mask_gamma.cache_info().maxsize == MEMO_SIZE
     assert search._context.cache_info().maxsize == 1
 
 
@@ -90,3 +92,10 @@ def test_cached_closures_agree_with_uncached(seed):
         want = theorems._closure_pair.__wrapped__(S)
         assert theorems._closure_pair(S) == want
         assert theorems._closure_pair(S) == want  # now a hit
+
+
+def test_gamma_column_is_gamma_of_each_mask():
+    for a in AMBIENTS:
+        for m in range(1 << a.carrier_size):
+            want = gamma.gamma_set(FinSet.from_mask(a, m)).value
+            assert theorems._mask_gamma(a, m) == want, (a.describe(), m)

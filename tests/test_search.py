@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import random
 
 import pytest
 
@@ -385,6 +386,19 @@ _SLAB_SPECS = [
     # the one reduced slot 0: its digits index the masks holding the identity
     dict(family={"kind": "zmod_range", "lo": 1, "hi": 7}, checker="conjecture",
          n_summands=1, symmetry_reduction=True),
+    # the structure test in the slab, over product ambients too
+    dict(family={"kind": "abelian_up_to_order", "max_order": 8}, checker="theorem",
+         subset_filter=_NONEMPTY),
+    # zn skips the empty X, and an empty Y falls back whole
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 7}, checker="zn"),
+    # conjecture: one column over the folded tail, gamma read per head
+    dict(family={"kind": "abelian_up_to_order", "max_order": 6}, checker="conjecture"),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 4}, checker="conjecture",
+         n_summands=3, subset_filter=_NONEMPTY),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 4}, checker="conjecture",
+         n_summands=3, subset_filter=_NONEMPTY, symmetry_reduction=True),
+    dict(family={"kind": "explicit", "ambients": [fixtures.left_zero_band(3).describe()]},
+         checker="conjecture"),
 ]
 
 
@@ -433,14 +447,17 @@ def _brute_force(spec):
 
 def _slab_reports(monkeypatch, spec):
     """The reports of spec with the checker's slab entry forced off, then
-    on, and how many heads reached the runner with it on."""
+    on, and what came of each head that reached the runner with it on:
+    its verdict's holds, or "skipped"."""
     name = resolve_checker(spec.checker)
     chk = search_mod.CHECKERS[name]
     calls = []
 
     def run(sets):
-        calls.append(1)
-        return chk.run(sets)
+        calls.append("skipped")
+        verdict = chk.run(sets)  # a PreconditionViolated leaves "skipped"
+        calls[-1] = verdict.holds
+        return verdict
 
     reports = []
     for slab in (None, chk.slab):
@@ -452,7 +469,7 @@ def _slab_reports(monkeypatch, spec):
         reports.append(run_search(spec))
     monkeypatch.setitem(search_mod.CHECKERS, name, chk)
     search_mod._context.cache_clear()
-    return reports, len(calls)
+    return reports, calls
 
 
 def _slab_check(monkeypatch, specs):
@@ -475,14 +492,16 @@ def _slab_check(monkeypatch, specs):
         assert (got["instances_checked"], got["instances_skipped"]) == (checked, skipped)
         assert [(v["ambient"], v["sets"]) for v in got["violations"]] == violations
         name = resolve_checker(spec.checker)
-        if spec.workers == 1 and search_mod.CHECKERS[name].slab is not None:
+        # one summand leaves no tail to build a column over
+        if spec.workers == 1 and spec.n_summands > 1 and search_mod.CHECKERS[name].slab:
             total = checked + skipped
             if all(a.axioms.cancellative for a in family_ambients(spec.family)):
-                assert fallback < total, spec
+                assert len(fallback) < total, spec
             else:
-                assert fallback == total, spec
-            if name == "theorem":
-                assert fallback > 0, spec  # branch (i) fails somewhere
+                assert len(fallback) == total, spec
+            # an entry decides every head it can: the runner sees only the
+            # heads it skips and the violations
+            assert all(h in (False, "skipped") for h in fallback), spec
 
 
 def test_slab_edges_match_default_chunks_and_brute_force(monkeypatch):
@@ -512,32 +531,61 @@ def test_slab_edges_keep_violation_order(monkeypatch, fresh_context):
 
 
 def test_slab_path_keeps_violation_order(monkeypatch, fresh_context):
-    # a fake dichotomy that fails wherever branch (ii) rescues the pair;
-    # the slab sends exactly the heads failing branch (i) to the runner
-    real = search_mod.CHECKERS["theorem"]
+    # with no unit in Y, branch (ii) is out of reach for the slab entry and
+    # the runner alike, so every pair failing branch (i) is a real
+    # violation, and the slab hands exactly those heads to the runner
+    from cdlab import theorems
 
-    def fake_run(sets):
-        v = real.run(sets)
-        if v.branch_ii and not v.branch_i:
-            return dataclasses.replace(v, disjunction_holds=False)
-        return v
-
+    monkeypatch.setattr(theorems, "units_of", lambda Y: FinSet(Y.ambient))
     spec = SearchSpec(
         family={"kind": "zmod_range", "lo": 2, "hi": 6},
         checker="theorem",
         subset_filter=_NONEMPTY,
     )
-    monkeypatch.setitem(
-        search_mod.CHECKERS, "theorem", dataclasses.replace(real, run=fake_run)
-    )
     (off, on), _ = _slab_reports(monkeypatch, spec)
     assert on.violations
     assert json.dumps(on.violations) == json.dumps(off.violations)
     for v in on.violations:
-        ok, verdict = replay(v)  # replays through the patched checker
+        ok, verdict = replay(v)  # replays with the patched units_of
         assert ok is False
         assert verdict == v["verdict"]
     _slab_check(monkeypatch, [spec])
+
+
+def test_theorem_slab_decides_both_branches(monkeypatch):
+    # every nonempty pair satisfies the dichotomy, and the slab entry
+    # settles both branches from its column: no head reaches the runner
+    for family in (
+        {"kind": "zmod_range", "lo": 2, "hi": 8},
+        {"kind": "abelian_up_to_order", "max_order": 8},
+    ):
+        spec = SearchSpec(family=family, checker="theorem", subset_filter=_NONEMPTY)
+        (off, on), calls = _slab_reports(monkeypatch, spec)
+        assert calls == [], family
+        assert on.violations == []
+        assert on.stable_json() == off.stable_json()
+
+
+def test_conjecture_slab_hands_back_exactly_the_failing_heads():
+    # three summands can fail the bound, as {0,4} + {0,4} + {0,1,4} over
+    # Z8 does, but no exhaustive spec above reaches such a triple
+    from cdlab import theorems
+
+    rng = random.Random(8)
+    failing = 0
+    for desc in ({"kind": "zmod", "n": 8}, _Z2Z4):
+        a = make_ambient(desc)
+        tails = [[FinSet.from_mask(a, rng.randrange(256)) for _ in range(2)] for _ in range(12)]
+        if desc["kind"] == "zmod":
+            tails.append([FinSet(a, [0, 4]), FinSet(a, [0, 1, 4])])
+        for tail in tails:
+            want = [
+                m for m in range(256)
+                if theorems.conjecture_holds([FinSet.from_mask(a, m), *tail]).holds is False
+            ]
+            assert theorems.slab_conjecture(range(256), tail) == want, (desc, tail)
+            failing += len(want)
+    assert failing
 
 
 def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
@@ -549,6 +597,10 @@ def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
     from cdlab.gamma import GammaValue
 
     monkeypatch.setattr(theorems, "gamma_set", lambda X: GammaValue(INF))
+    # the conjecture's runner reads the tuple's gamma, its slab entry the
+    # gamma column, which must not keep values from before the patch
+    monkeypatch.setattr(theorems, "gamma_tuple", lambda Xs: INF if all(Xs) else 0)
+    theorems._mask_gamma.cache_clear()
     specs = [
         SearchSpec(**s)
         for s in (
@@ -560,13 +612,31 @@ def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
                  subset_filter={"contains_identity": True, "max_size": 3}),
             dict(family={"kind": "explicit", "ambients": [fixtures.s3().describe()]},
                  checker="hs"),
+            dict(family={"kind": "zmod_range", "lo": 1, "hi": 5}, checker="conjecture"),
+            dict(family={"kind": "zmod_range", "lo": 1, "hi": 3}, checker="conjecture",
+                 n_summands=3),
+            dict(family={"kind": "abelian_up_to_order", "max_order": 4}, checker="conjecture",
+                 subset_filter=_NONEMPTY),
         )
     ]
-    for spec in specs[:2]:
+    try:
+        for spec in specs[:2] + specs[5:]:
+            (off, on), _ = _slab_reports(monkeypatch, spec)
+            assert on.violations
+            assert json.dumps(on.violations) == json.dumps(off.violations)
+        _slab_check(monkeypatch, specs)
+
+        # zn's bound reads n / delta(Y), which gamma(Y) must equal:
+        # delta = 1 with gamma = n turns it into |X| + |Y| - 1 as well
+        monkeypatch.setattr(theorems, "delta_y", lambda Y: 1)
+        monkeypatch.setattr(theorems, "gamma_set", lambda X: GammaValue(X.ambient.n))
+        spec = SearchSpec(family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="zn")
         (off, on), _ = _slab_reports(monkeypatch, spec)
         assert on.violations
         assert json.dumps(on.violations) == json.dumps(off.violations)
-    _slab_check(monkeypatch, specs)
+        _slab_check(monkeypatch, [spec])
+    finally:
+        theorems._mask_gamma.cache_clear()
 
 
 def _counted_decodes(monkeypatch):
@@ -597,7 +667,11 @@ def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_con
     ctx = search_mod._context(json.dumps(spec.to_json(), sort_keys=True))
     assert all(type(d) is int for heads in ctx._heads.values() for d in heads)
 
-    # theorem: the tails plus the heads its slab entry hands back
+    # theorem: the tails plus the heads its slab entry hands back, which
+    # with no unit in Y are all the heads failing branch (i)
+    from cdlab import theorems
+
+    monkeypatch.setattr(theorems, "units_of", lambda Y: FinSet(Y.ambient))
     chk = search_mod.CHECKERS["theorem"]
     handed = set()
 
@@ -611,7 +685,7 @@ def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_con
     rep = run_search(SearchSpec(
         family={"kind": "zmod_range", "lo": 2, "hi": 7}, checker="theorem", subset_filter=_NONEMPTY
     ))
-    assert rep.violations == [] and handed
+    assert rep.violations and handed
     assert len(decoded) <= sum(2**n - 1 for n in range(2, 8)) + len(handed)
 
 
