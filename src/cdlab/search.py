@@ -105,12 +105,7 @@ CHECKERS = {
         slab=_pair_slab(theorems.slab_cor_udt),
     ),
     "hs": Checker(2, _pair(theorems.check_cor_hs), slab=_pair_slab(theorems.slab_cor_hs)),
-    "zn": Checker(
-        2,
-        _pair(theorems.check_cor_zn),
-        translation_invariant=True,
-        slab=_pair_slab(theorems.slab_cor_zn),
-    ),
+    "zn": Checker(2, _pair(theorems.check_cor_zn), translation_invariant=True),
     "weaker": Checker(2, _pair(theorems.check_weaker_bound), translation_invariant=True),
     "conjecture": Checker(
         None,

@@ -515,63 +515,26 @@ def check_cor_zn(X: FinSet, Y: FinSet) -> BoundReport:
     Also verifies the internal identity gamma(Y) = n / delta(Y) for
     |Y| >= 2; a mismatch is an implementation bug and raises.
     """
-    delta, gam, d = _zn_rhs(Y)
-    _require(bool(X.elements), "the bound needs nonempty X and Y")
-    _, lhs, structure = _structure_test(X, Y)
-    detail = {
-        "delta": delta,
-        "modulus": Y.ambient.n,
-        "x_size": len(X.elements),
-        "y_size": len(Y.elements),
-    }
-    if gam is not None:
-        detail["gamma_y"] = encode_extnat(gam)
-    hypothesis_met = structure is None or not all(structure(y) for y in Y.elements)
-    rhs = len(X.elements) + d
-    if not hypothesis_met:
-        return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)
-    return BoundReport(lhs >= rhs, lhs, rhs, "checked", detail)
-
-
-def _zn_rhs(Y: FinSet):
-    """The hypotheses of check_cor_zn on Y and the cross-check
-    gamma(Y) = n / delta(Y) when |Y| >= 2, then (delta(Y), gamma(Y) or
-    None, d) with d = min(n / delta(Y), |Y| - 1): the bound reads
-    |X + Y| >= |X| + d."""
-    a = Y.ambient
+    a = X.ambient
     if not isinstance(a, ZMod):
         raise WrongAmbient("this bound is specific to zmod ambients")
-    _require(bool(Y.elements), "the bound needs nonempty X and Y")
+    _require(bool(X.elements) and bool(Y.elements), "the bound needs nonempty X and Y")
+    _, lhs, structure = _structure_test(X, Y)
     n = a.n
     delta = delta_y(Y)
-    gam = None
+    detail = {"delta": delta, "modulus": n, "x_size": len(X.elements), "y_size": len(Y.elements)}
     if len(Y.elements) >= 2:
         gam = gamma_set(Y).value
+        detail["gamma_y"] = encode_extnat(gam)
         if gam != n // delta:
             raise InvariantBroken(
                 f"gamma(Y) = {gam} disagrees with n/delta = {n // delta}"
             )
-    return delta, gam, min(n // delta, len(Y.elements) - 1)
-
-
-def slab_cor_zn(heads, Y: FinSet):
-    """Slab entry of check_cor_zn: the heads X (carrier masks, in order)
-    that meet the hypothesis and fail the bound against Y, and the empty X,
-    which the runner skips.  The cross-check runs once, for Y."""
-    _, _, d = _zn_rhs(Y)
-    a, ys = Y.ambient, Y.elements
-    col = _raw_column(a, ys)
-    pending = []
-    for m in heads:
-        if m:
-            xy = col[m]
-            if xy.bit_count() >= m.bit_count() + d:
-                continue
-            test = _structure(a, xy, ys)
-            if test is not None and all(map(test, ys)):
-                continue  # the hypothesis fails
-        pending.append(m)
-    return pending
+    hypothesis_met = structure is None or not all(structure(y) for y in Y.elements)
+    rhs = len(X.elements) + min(n // delta, len(Y.elements) - 1)
+    if not hypothesis_met:
+        return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)
+    return BoundReport(lhs >= rhs, lhs, rhs, "checked", detail)
 
 
 def check_weaker_bound(X: FinSet, Y: FinSet) -> BoundReport:

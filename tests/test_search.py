@@ -389,8 +389,6 @@ _SLAB_SPECS = [
     # the structure test in the slab, over product ambients too
     dict(family={"kind": "abelian_up_to_order", "max_order": 8}, checker="theorem",
          subset_filter=_NONEMPTY),
-    # zn skips the empty X, and an empty Y falls back whole
-    dict(family={"kind": "zmod_range", "lo": 1, "hi": 7}, checker="zn"),
     # conjecture: one column over the folded tail, gamma read per head
     dict(family={"kind": "abelian_up_to_order", "max_order": 6}, checker="conjecture"),
     dict(family={"kind": "zmod_range", "lo": 1, "hi": 4}, checker="conjecture",
@@ -625,16 +623,6 @@ def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
             assert on.violations
             assert json.dumps(on.violations) == json.dumps(off.violations)
         _slab_check(monkeypatch, specs)
-
-        # zn's bound reads n / delta(Y), which gamma(Y) must equal:
-        # delta = 1 with gamma = n turns it into |X| + |Y| - 1 as well
-        monkeypatch.setattr(theorems, "delta_y", lambda Y: 1)
-        monkeypatch.setattr(theorems, "gamma_set", lambda X: GammaValue(X.ambient.n))
-        spec = SearchSpec(family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="zn")
-        (off, on), _ = _slab_reports(monkeypatch, spec)
-        assert on.violations
-        assert json.dumps(on.violations) == json.dumps(off.violations)
-        _slab_check(monkeypatch, [spec])
     finally:
         theorems._mask_gamma.cache_clear()
 
@@ -667,11 +655,10 @@ def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_con
     ctx = search_mod._context(json.dumps(spec.to_json(), sort_keys=True))
     assert all(type(d) is int for heads in ctx._heads.values() for d in heads)
 
-    # theorem: the tails plus the heads its slab entry hands back, which
-    # with no unit in Y are all the heads failing branch (i)
+    # theorem: the tails plus the heads its slab entry hands back; it
+    # settles both branches, so over Z_n it hands back none
     from cdlab import theorems
 
-    monkeypatch.setattr(theorems, "units_of", lambda Y: FinSet(Y.ambient))
     chk = search_mod.CHECKERS["theorem"]
     handed = set()
 
@@ -681,12 +668,22 @@ def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_con
         return pending
 
     monkeypatch.setitem(search_mod.CHECKERS, "theorem", dataclasses.replace(chk, slab=slab))
-    decoded = _counted_decodes(monkeypatch)
-    rep = run_search(SearchSpec(
+    spec = SearchSpec(
         family={"kind": "zmod_range", "lo": 2, "hi": 7}, checker="theorem", subset_filter=_NONEMPTY
-    ))
+    )
+    tails = sum(2**n - 1 for n in range(2, 8))
+    decoded = _counted_decodes(monkeypatch)
+    rep = run_search(spec)
+    assert rep.violations == [] and not handed
+    assert len(decoded) <= tails
+
+    # with no unit in Y it hands back every head failing branch (i)
+    monkeypatch.setattr(theorems, "units_of", lambda Y: FinSet(Y.ambient))
+    search_mod._context.cache_clear()
+    decoded = _counted_decodes(monkeypatch)
+    rep = run_search(spec)
     assert rep.violations and handed
-    assert len(decoded) <= sum(2**n - 1 for n in range(2, 8)) + len(handed)
+    assert len(decoded) <= tails + len(handed)
 
 
 def test_reduced_slot_zero_runs_the_sets_holding_the_identity(monkeypatch, fresh_context):
