@@ -6,10 +6,11 @@ ord(x - x0), with sup({}) = 0 and inf({}) = INF, and gamma(X) = |X| when
 |X| <= 1.  Differences use x + (-x0), which is well defined because x0 is
 a unit.  Values are exact; there is no estimation fallback.
 
-Orders over a finite ambient are read, not walked: a mask-form ambient of
-at most TABLE_CAP elements has one order table, built from ord_elem on
-the first constant asked of it, and other finite ambients memoize ord_elem
-per element.  Infinite ambients call ord_elem directly.
+Orders are read, not walked, once known: a mask-form ambient of at most
+TABLE_CAP elements has one order table, built from ord_elem on the first
+constant asked of it, and every other ambient, infinite ones included,
+memoizes ord_elem per element.  Constants are memoized per ambient and
+raw set, so a caller holding only a mask reads one without decoding it.
 
 An invariant transform replaces (X, Y) by (X + y0, -y0 + Y) for a unit
 y0 of Y.  It preserves |X + Y|, both set sizes, and both constants; those
@@ -58,15 +59,22 @@ class GammaValue:
         }
 
 
-@lru_cache(maxsize=MEMO_SIZE)
 def gamma_set(X: FinSet) -> GammaValue:
-    """The Cauchy-Davenport constant of a single set, memoized per set."""
+    """The Cauchy-Davenport constant of a single set."""
+    return _gamma(X.ambient, X.raw)
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def _gamma(a, raw) -> GammaValue:
+    """gamma_set of the set with raw set `raw` over `a`: the one memo of
+    constants, keyed on the raw set so that a lookup decodes nothing."""
+    X = FinSet._of(a, raw)
     if len(X.elements) <= 1:
         return GammaValue(len(X.elements), None)
     best: ExtNat = 0
     wit = None
     for x0 in units_of(X).elements:
-        inner = _inf_order(X.ambient, X.raw, x0)
+        inner = _inf_order(a, raw, x0)
         if inner > best:
             best = inner
             wit = x0
@@ -87,8 +95,8 @@ def _order_levels(a) -> tuple:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _finite_ord(a, x) -> int:
-    """ord_elem of x over a finite ambient without an order table."""
+def _elem_ord(a, x) -> ExtNat:
+    """ord_elem of x over an ambient without an order table."""
     return ord_elem(a, x)
 
 
@@ -96,9 +104,8 @@ def _inf_order(a, raw, x0) -> ExtNat:
     """inf over the x in raw set `raw` other than x0 of ord(x - x0), for a
     unit x0: the inner infimum of the constant."""
     neg = a.invert(x0)
-    size = a.carrier_size
     if type(raw) is int:
-        if size <= TABLE_CAP:
+        if a.carrier_size <= TABLE_CAP:
             ident_bit, levels = _order_levels(a)
             diffs = _raw_sumset(a, raw, (neg,)) & ~ident_bit
             for o, level in levels:
@@ -109,8 +116,7 @@ def _inf_order(a, raw, x0) -> ExtNat:
     inner: ExtNat = INF
     for x in raw:
         if x != x0:
-            d = a.add(x, neg)
-            o = _finite_ord(a, d) if size is not None else ord_elem(a, d)
+            o = _elem_ord(a, a.add(x, neg))
             if o < inner:
                 inner = o
     return inner

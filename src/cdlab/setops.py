@@ -70,7 +70,7 @@ class FinSet:
     `raw` is the set itself, a carrier mask or a frozenset of elements
     (see _mask_form); `elements` lists it in canonical order."""
 
-    __slots__ = ("ambient", "raw", "elements", "_hash")
+    __slots__ = ("ambient", "raw", "elements")
 
     def __init__(self, ambient: Ambient, items=()):
         seen = set()
@@ -80,7 +80,6 @@ class FinSet:
         self.ambient = ambient
         self.raw = raw = _raw_of(ambient, seen)
         self.elements = _elements(ambient, raw)
-        self._hash = None
 
     @staticmethod
     def _of(a: Ambient, raw) -> "FinSet":
@@ -89,7 +88,6 @@ class FinSet:
         s.ambient = a
         s.raw = raw
         s.elements = _elements(a, raw)
-        s._hash = None
         return s
 
     @staticmethod
@@ -138,10 +136,7 @@ class FinSet:
         )
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.ambient, self.raw))
-        return h
+        return hash((self.ambient, self.raw))
 
     def __repr__(self):
         return f"FinSet({self.elements!r})"
@@ -365,22 +360,26 @@ def ord_elem(a: Ambient, x) -> ExtNat:
 
 
 def ord_set(X: FinSet) -> ExtNat:
-    """Size of the subsemigroup generated by X, possibly INF.
-
-    The analytic rules certify infinitude (a nonzero lattice vector, a
-    nonempty word, an infinite factor orbit); when they certify a finite
-    bound instead, the closure is enumerated up to that bound.  A closure
-    that outgrows it means the kind's rule is wrong: InvariantBroken.
-    """
+    """Size of the subsemigroup generated by X, possibly INF."""
     if not X.elements:
         return 0
+    walked = _closures(X, generated)
+    return INF if walked is None else walked[0].budget_used
+
+
+def _closures(X: FinSet, *walks):
+    """The closure rule: walk(X, bound) for each walk (generated or
+    generated_sym), or None when the kind's gen_size_bound certifies
+    infinitude (a nonzero lattice vector, a nonempty word, an infinite
+    factor orbit).  A walk that outgrows a finite bound means the kind's
+    rule is wrong: InvariantBroken."""
     bound = X.ambient.gen_size_bound(X.elements)
     if bound == INF:
-        return INF
-    res = generated(X, bound)
-    if not res.complete:
+        return None
+    walked = [walk(X, bound) for walk in walks]
+    if not all(res.complete for res in walked):
         raise InvariantBroken(f"closure outgrew its bound {bound}")
-    return res.budget_used
+    return walked
 
 
 def center(X: FinSet, candidates: FinSet = None) -> FinSet:

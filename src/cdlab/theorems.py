@@ -26,10 +26,11 @@ from .errors import (
     WrongAmbient,
 )
 from .extnat import INF, ExtNat, encode_extnat
-from .gamma import gamma_set, gamma_tuple, normalize_pair
+from .gamma import _gamma, gamma_set, gamma_tuple, normalize_pair
 from .setops import (
     MEMO_SIZE,
     FinSet,
+    _closures,
     _elements,
     _raw_column,
     _raw_of,
@@ -75,18 +76,12 @@ def _require(cond: bool, why: str):
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _closure_pair(S: FinSet):
-    """(closure of S, closure of S with unit inverses adjoined), or None
-    when the closure is provably infinite.  Both walk to the kind's bound;
-    a closure that outgrows it means the rule is wrong."""
-    bound = S.ambient.gen_size_bound(S.elements)
-    if bound == INF:
-        return None
-    plain = generated(S, bound)
-    sym = generated_sym(S, bound)
-    if not (plain.complete and sym.complete):
-        raise InvariantBroken(f"closure of the set outgrew its bound {bound}")
-    return plain.closure, sym.closure
+def _closure_pair(a, raw):
+    """(closure, closure with unit inverses adjoined) of the set with raw
+    set `raw` over `a`, or None when it is provably infinite; both follow
+    the closure rule of setops._closures."""
+    walked = _closures(FinSet._of(a, raw), generated, generated_sym)
+    return None if walked is None else tuple(res.closure for res in walked)
 
 
 def _structure(a, xy, ys):
@@ -333,7 +328,7 @@ def check_prop_equiv(X: FinSet, Y: FinSet) -> EquivalenceVerdict:
     xy, _, structure = _structure_test(X, Y)
     cond_i = structure is not None and any(structure(yb) for yb in units)
     cond_ii = structure is not None and all(structure(y) for y in Y.elements)
-    cond_iii = all(_third_condition(a, X.raw, xy, Y, yb) for yb in units)
+    cond_iii = all(_third_condition(a, X.raw, xy, Y.raw, yb) for yb in units)
     agree = cond_i == cond_ii == cond_iii
     witness = None
     if not agree:
@@ -347,14 +342,13 @@ def check_prop_equiv(X: FinSet, Y: FinSet) -> EquivalenceVerdict:
     return EquivalenceVerdict(cond_i, cond_ii, cond_iii, agree, witness)
 
 
-def _third_condition(a, rx, xy, Y, yb) -> bool:
+def _third_condition(a, rx, xy, ry, yb) -> bool:
     """X + <<Y - yb>> = X + <Y - yb> = X + Y - yb, from the raw sets
-    rx of X and xy of X + Y."""
+    rx of X, xy of X + Y and ry of Y."""
     if not rx:
         return True  # every side is empty
     neg = a.invert(yb)
-    shifted = FinSet._of(a, _raw_sumset(a, Y.raw, (neg,)))
-    closures = _closure_pair(shifted)
+    closures = _closure_pair(a, _raw_sumset(a, ry, (neg,)))
     if closures is None:
         # <Y - yb> is provably infinite, so X + <Y - yb> cannot equal the
         # finite right side
@@ -446,7 +440,7 @@ def check_cor_hs(X: FinSet, Y: FinSet) -> BoundReport:
 
     if not X.elements:
         return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)
-    closures = _closure_pair(Y)
+    closures = _closure_pair(a, Y.raw)
     if closures is None:
         hypothesis_met = True
         detail["closure"] = "infinite"
@@ -482,7 +476,7 @@ def slab_cor_hs(heads, Y: FinSet):
     a = Y.ambient
     y0set, _, d = _hs_rhs(Y)
     lhs_col = _raw_column(a, y0set.elements)  # X u (X + Y) = X + (Y u {0})
-    hyp_col = _raw_column(a, _closure_pair(Y)[1].elements)  # X + <<Y>>
+    hyp_col = _raw_column(a, _closure_pair(a, Y.raw)[1].elements)  # X + <<Y>>
     return [
         m
         for m in heads
@@ -542,12 +536,14 @@ def check_weaker_bound(X: FinSet, Y: FinSet) -> BoundReport:
     a = X.ambient
     _require(a.axioms.cancellative, "the bound needs a cancellative ambient")
     _require(bool(X.elements) and bool(Y.elements), "the bound needs nonempty sets")
-    xy = sumset(X, Y)
-    gam = gamma_set(xy).value
+    _same_ambient(X, Y)
+    xy = _raw_sumset(a, X.raw, Y.elements)
+    gam = _gamma(a, xy).value
+    lhs = _raw_size(xy)
     rhs = int(min(gam, len(X.elements) + len(Y.elements) - 1))
     return BoundReport(
-        holds=len(xy) >= rhs,
-        lhs=len(xy),
+        holds=lhs >= rhs,
+        lhs=lhs,
         rhs=rhs,
         detail={"gamma_sumset": encode_extnat(gam)},
     )
@@ -590,20 +586,14 @@ def _fold(a, Xs):
     return acc
 
 
-@lru_cache(maxsize=MEMO_SIZE)
-def _mask_gamma(a, m: int) -> ExtNat:
-    """gamma of the set of carrier mask m over the mask-form ambient a:
-    the gamma column that slab_conjecture reads, filled on demand."""
-    return gamma_set(FinSet._of(a, m)).value
-
-
 def slab_conjecture(heads, tail):
     """Slab entry of conjecture_holds: the heads X1 (carrier masks, in
     order) that fail the bound with the tail X2, ..., Xn, n >= 2.  One
     column gives X1 + S for the folded tail S = X2 + ... + Xn.  A head
     whose sumset reaches the additive side needs no gamma; the others
-    compare it with max(gamma(X1), gamma of the tail parts), and gamma of
-    the tuple is 0 when a set is empty."""
+    compare it with max(gamma(X1), gamma of the tail parts), reading
+    gamma(X1) from the gamma memo by its mask; gamma of the tuple is 0
+    when a set is empty."""
     a = tail[0].ambient
     _conjecture_require(a)
     if not all(tail):
@@ -616,7 +606,7 @@ def slab_conjecture(heads, tail):
         for m in heads
         if m
         and (c := col[m].bit_count()) < m.bit_count() + base
-        and (c < gam or c < _mask_gamma(a, m))
+        and (c < gam or c < _gamma(a, m).value)
     ]
 
 

@@ -301,7 +301,7 @@ def test_abelian_family_has_fourteen_groups():
 
 @pytest.mark.parametrize("a", TABLE_AMBIENTS, ids=lambda a: a.kind + str(a.carrier_size))
 def test_gamma_from_the_order_table_matches_orbit_walks(a):
-    gamma.gamma_set.cache_clear()
+    gamma._gamma.cache_clear()
     orders = _orbit_orders(a)
     for mask in range(1 << a.carrier_size):
         X = FinSet.from_mask(a, mask)
@@ -310,7 +310,7 @@ def test_gamma_from_the_order_table_matches_orbit_walks(a):
 
 
 def test_no_order_table_without_units():
-    gamma.gamma_set.cache_clear()
+    gamma._gamma.cache_clear()
     gamma._order_levels.cache_clear()
     for a in (fixtures.left_zero_band(3), TRUNCATED):
         for mask in range(1 << a.carrier_size):
@@ -371,8 +371,8 @@ def test_large_product_reads_each_difference_order_once(monkeypatch):
         return walk(a, x)
 
     monkeypatch.setattr(gamma, "ord_elem", counted)
-    gamma.gamma_set.cache_clear()
-    gamma._finite_ord.cache_clear()
+    gamma._gamma.cache_clear()
+    gamma._elem_ord.cache_clear()
     g = gamma_set(X)
     diffs = {a.add(x, a.invert(x0)) for x0 in X.elements for x in X.elements if x != x0}
     assert len(calls) <= len(diffs)
@@ -385,7 +385,7 @@ def test_large_zmod_reads_orders_through_the_memo():
     # Z1000 sets are masks, but above the table cap: no table is built
     a = make_ambient({"kind": "zmod", "n": 1000})
     rng = random.Random(50)
-    gamma.gamma_set.cache_clear()
+    gamma._gamma.cache_clear()
     gamma._order_levels.cache_clear()
     orders = _orbit_orders(a)
     for k in (2, 3, 8, 20):

@@ -8,7 +8,7 @@ import random
 import pytest
 
 import cdlab
-from cdlab import FinSet, SearchSpec, fixtures, gamma, make_ambient, run_search, search, theorems
+from cdlab import FinSet, SearchSpec, fixtures, gamma, make_ambient, run_search, search, setops, theorems
 from cdlab.setops import MEMO_SIZE
 
 MODULES = [
@@ -58,44 +58,76 @@ def test_random_search_leaves_module_dicts_unchanged():
 
 
 def test_every_memo_is_bounded():
+    # one cache policy: each memo is keyed on an ambient plus a raw set or
+    # one element (or on the ambient or spec text alone), never on a FinSet
     memos = {
         (mod.__name__, name): value
         for mod in MODULES
         for name, value in vars(mod).items()
         if hasattr(value, "cache_info") and getattr(value, "__module__", None) == mod.__name__
     }
-    assert set(memos) >= {
-        ("cdlab.gamma", "gamma_set"),
+    assert set(memos) == {
+        ("cdlab.gamma", "_gamma"),
+        ("cdlab.gamma", "_order_levels"),
+        ("cdlab.gamma", "_elem_ord"),
         ("cdlab.theorems", "_closure_pair"),
-        ("cdlab.theorems", "_mask_gamma"),
         ("cdlab.search", "_context"),
         ("cdlab.search", "_decode"),
     }
     for memo in memos.values():
         assert memo.cache_info().maxsize is not None
-    assert gamma.gamma_set.cache_info().maxsize == MEMO_SIZE
-    assert theorems._mask_gamma.cache_info().maxsize == MEMO_SIZE
+    assert gamma._gamma.cache_info().maxsize == MEMO_SIZE
+    assert theorems._closure_pair.cache_info().maxsize == MEMO_SIZE
     assert search._context.cache_info().maxsize == 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cached_gamma_agrees_with_uncached(seed):
     for X in _seeded_sets(f"gamma:{seed}"):
-        want = gamma.gamma_set.__wrapped__(X)
-        assert gamma.gamma_set(X) == want
-        assert gamma.gamma_set(X) == want  # now a hit
+        want = gamma._gamma.__wrapped__(X.ambient, X.raw)
+        assert gamma._gamma(X.ambient, X.raw) == want
+        assert gamma._gamma(X.ambient, X.raw) == want  # now a hit
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cached_closures_agree_with_uncached(seed):
     for S in _seeded_sets(f"closure:{seed}"):
-        want = theorems._closure_pair.__wrapped__(S)
-        assert theorems._closure_pair(S) == want
-        assert theorems._closure_pair(S) == want  # now a hit
+        want = theorems._closure_pair.__wrapped__(S.ambient, S.raw)
+        assert theorems._closure_pair(S.ambient, S.raw) == want
+        assert theorems._closure_pair(S.ambient, S.raw) == want  # now a hit
 
 
 def test_gamma_column_is_gamma_of_each_mask():
+    # the conjecture slab entry reads gamma by mask from the same memo
+    # gamma_set reads, so both agree with the uncached constant
     for a in AMBIENTS:
         for m in range(1 << a.carrier_size):
-            want = gamma.gamma_set(FinSet.from_mask(a, m)).value
-            assert theorems._mask_gamma(a, m) == want, (a.describe(), m)
+            want = gamma._gamma.__wrapped__(a, m)
+            assert gamma.gamma_set(FinSet.from_mask(a, m)) == want, (a.describe(), m)
+            assert gamma._gamma(a, m) == want, (a.describe(), m)
+
+
+@pytest.mark.parametrize("name", ["check_prop_equiv", "check_weaker_bound", "slab_conjecture"])
+def test_warm_lookups_decode_nothing(monkeypatch, name):
+    # every FinSet lists its members through setops._elements, so a memo
+    # keyed on a raw set is read warm without one being built
+    a = make_ambient({"kind": "zmod", "n": 10})
+    rng = random.Random(f"warm:{name}")
+    fn = getattr(theorems, name)
+    calls = []
+    for _ in range(40):
+        X, Y = (FinSet.from_mask(a, rng.randrange(1, 1 << 10)) for _ in range(2))
+        calls.append((range(1 << 10), [Y]) if name == "slab_conjecture" else (X, Y))
+    for args in calls:
+        fn(*args)
+    decoded = []
+    real = setops._elements
+
+    def counted(a, raw):
+        decoded.append(raw)
+        return real(a, raw)
+
+    monkeypatch.setattr(setops, "_elements", counted)
+    for args in calls:
+        fn(*args)
+    assert decoded == []

@@ -22,7 +22,7 @@ from cdlab import (
 )
 from cdlab.ambient import IntLattice
 from cdlab.errors import AmbientMismatch, ElementAmbientMismatch, InvariantBroken
-from cdlab import fixtures, setops
+from cdlab import fixtures, setops, theorems
 from cdlab.setops import intersection, is_subset
 
 Z4 = make_ambient({"kind": "zmod", "n": 4})
@@ -163,6 +163,14 @@ def test_ord_examples():
 
     with pytest.raises(InvariantBroken):
         ord_elem(Unruled(1), (1,))
+    # the closure pair behind prop13 and hs follows the same rule; Unruled(1)
+    # equals int_lattice of dimension 1, so first drop what that left there
+    lat = Unruled(1)
+    theorems._closure_pair.cache_clear()
+    with pytest.raises(InvariantBroken):
+        theorems._closure_pair(lat, frozenset({(1,)}))
+    with pytest.raises(InvariantBroken):
+        theorems.check_cor_hs(FinSet(lat, [(0,)]), FinSet(lat, [(1,)]))
     assert ord_set(FinSet(Z6, [2])) == 3
     assert ord_set(FinSet(NAT, [(0,), (2,)])) == INF
     assert ord_set(FinSet(Z5, [])) == 0
