@@ -14,9 +14,16 @@ heads.  A checker with a slab entry vouches for whole slabs at once from
 one sumset column and hands back only the heads it cannot vouch for,
 which go through the per-instance runner like every head of the other
 checkers.  When the tail fails the checker's hypotheses the entry raises
-PreconditionViolated and every head of the slab goes to the runner.  A
-set is decoded only where a runner or a filter reads it: the tail of each
-slab and the heads handed to the runner.
+PreconditionViolated and every head of the slab goes to the runner.
+
+Over an abelian group, translating each tail set by an element of its own
+changes none of what a translation invariant checker reads (sizes, |X + Y|,
+gamma, the structure identity), so the heads its slab entry hands back
+depend only on the translation class of each tail set.  The context keeps
+them per class, keyed on the least translate of each tail mask, for the
+ambient being walked; the runner still runs each of them against the
+actual tail.  A set is decoded only where a slab entry, a runner or a
+filter reads it.
 
 Violations embed the full ambient description and set encodings, so
 `replay` can re-run the named checker on the exact instance with no other
@@ -40,7 +47,7 @@ from .errors import (
     PreconditionViolated,
     SpecInvalid,
 )
-from .setops import MEMO_SIZE, FinSet, _mask_form, is_commutative_generated
+from .setops import MEMO_SIZE, FinSet, _least_translate, _mask_form, is_commutative_generated
 from . import theorems
 
 DEFAULT_CEILING = 1 << 30
@@ -56,12 +63,19 @@ _CHUNK_RANDOM = 4096
 @dataclass(frozen=True)
 class Checker:
     """The one declaration of a checker: fixed arity (None = any), the
-    runner, whether its outcome is invariant under replacing (X, Y) by
-    (X + y0, -y0 + Y) for a unit y0 of Y, which justifies pinning the
-    identity into the last slot during exhaustive runs, and an optional
-    slab entry.  The runner's verdict reads and encodes itself: `holds`
-    is its pass/fail reading (None = not applicable, which is never a
-    violation) and `to_json()` its JSON encoding.
+    runner, whether it is translation invariant, an optional slab entry,
+    and the one ambient kind it runs over (None = any).  The runner's
+    verdict reads and encodes itself: `holds` is its pass/fail reading
+    (None = not applicable, which is never a violation) and `to_json()`
+    its JSON encoding.
+
+    A translation invariant checker gives the same `holds` on (X + y0,
+    -y0 + Y) as on (X, Y) for a unit y0 of Y, which justifies pinning the
+    identity into the last slot during exhaustive runs; over an abelian
+    group it also gives the same `holds` when each set is translated by
+    an element of its own, and its slab entry hands back the same heads
+    for every translate of the tail, so the search reuses them across a
+    translation class of tails.
 
     A slab entry vouches for heads in bulk.  Given the masks of the heads
     of one exhaustive slab that the subset filter admits (slot 0, in order)
@@ -78,6 +92,7 @@ class Checker:
     run: object                        # sets -> verdict object
     translation_invariant: bool = False
     slab: object = None                # (head masks, tail) -> head masks
+    ambient_kind: object = None        # the one Ambient.kind it accepts
 
 
 def _pair(fn):
@@ -105,7 +120,9 @@ CHECKERS = {
         slab=_pair_slab(theorems.slab_cor_udt),
     ),
     "hs": Checker(2, _pair(theorems.check_cor_hs), slab=_pair_slab(theorems.slab_cor_hs)),
-    "zn": Checker(2, _pair(theorems.check_cor_zn), translation_invariant=True),
+    "zn": Checker(
+        2, _pair(theorems.check_cor_zn), translation_invariant=True, ambient_kind="zmod"
+    ),
     "weaker": Checker(2, _pair(theorems.check_weaker_bound), translation_invariant=True),
     "conjecture": Checker(
         None,
@@ -277,6 +294,11 @@ def _validate_spec(spec: SearchSpec):
     else:
         _only_keys(mode, "exhaustive mode")
     ambients = family_ambients(spec.family)
+    for a in ambients:
+        if chk.ambient_kind not in (None, a.kind):
+            raise SpecInvalid(
+                f"checker {name!r} runs over {chk.ambient_kind} ambients only, got {a.kind}"
+            )
     if mode["kind"] == "random":
         largest = max(a.carrier_size for a in ambients)
         if largest > _MAX_DRAW_BITS:
@@ -351,6 +373,16 @@ class _Context:
         else:
             self.total = spec.mode["trials"]
         self._heads = {}
+        self._classes = (None, {})
+
+    def classes(self, ai: int) -> dict:
+        """The class memo of ambient ai: the least translate of each tail
+        mask -> the heads the slab entry hands back for that class, over
+        all of heads(ai).  It is emptied when the walk moves to another
+        ambient, so it never holds more than one ambient's classes."""
+        if self._classes[0] != ai:
+            self._classes = (ai, {})
+        return self._classes[1]
 
     def heads(self, ai: int) -> list:
         """The digits of slot 0 that the subset filter admits, in order.
@@ -428,12 +460,25 @@ def _sweep(ctx: _Context, ai: int, heads: list, tail: list, tally: dict):
     tally["skipped"] += skipped
 
 
+def _vouch(slab_entry, heads: list, tail: list) -> list:
+    """The heads the slab entry hands back; all of them when the tail
+    fails the checker's hypotheses, so that the runner skips each."""
+    try:
+        return slab_entry(heads, tail)
+    except PreconditionViolated:
+        return heads
+
+
 def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
     """Walk flat indices [start, end) slab by slab: a slab fixes the
     trailing slots and sweeps slot 0 over a slice of its digits.  Heads
     the filter rejects are skipped, heads the checker's slab entry vouches
-    for are checked, and only the tail and the heads left over are
-    decoded and go through _sweep."""
+    for are checked, and only the heads left over go through _sweep.
+    Over an abelian group a translation invariant entry runs once per
+    translation class of tails, over all admitted heads, and each slab
+    takes its slice.  The tail is decoded only where the entry or the
+    runner reads it."""
+    chk = ctx.checker
     flat = start
     while flat < end:
         ai, offset = ctx.locate(flat)
@@ -443,7 +488,16 @@ def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
         heads, head_masks = ctx.heads(ai), space.masks(0)
         trailing = [(space.masks(s), space.bases[s]) for s in range(1, len(space.bases))]
         # a slab entry builds its column over the tail: one summand has none
-        slab_entry = ctx.checker.slab if trailing and _mask_form(a) else None
+        slab_entry = chk.slab if trailing and _mask_form(a) else None
+        classes = None
+        if (
+            slab_entry is not None
+            and chk.translation_invariant
+            and a.axioms.commutative
+            and a.axioms.has_identity
+            and a.all_units
+        ):
+            classes = ctx.classes(ai)
         width = space.bases[0]
         slab, lo = divmod(offset, width)
         while offset < stop:
@@ -456,17 +510,24 @@ def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
             if not all(_admits(ctx, ai, slot, m) for slot, m in enumerate(tail, 1)):
                 tally["skipped"] += hi - lo
             else:
-                tail = [_decode(a, m) for m in tail]
                 i, j = bisect_left(heads, lo), bisect_left(heads, hi)
                 tally["skipped"] += hi - lo - (j - i)
-                pending = heads[i:j]
+                if classes is not None:
+                    key = tuple([_least_translate(a, m) for m in tail])
+                    got = classes.get(key)
+                    if got is None:
+                        sets = [_decode(a, m) for m in tail]
+                        got = classes[key] = _vouch(slab_entry, heads, sets)
+                    pending = got[bisect_left(got, lo):bisect_left(got, hi)]
+                elif slab_entry is not None:
+                    pending = _vouch(slab_entry, heads[i:j], [_decode(a, m) for m in tail])
+                else:
+                    pending = heads[i:j]
                 if slab_entry is not None:
-                    try:
-                        pending = slab_entry(pending, tail)
-                    except PreconditionViolated:
-                        pass  # every head goes to the runner, which skips it
                     tally["checked"] += j - i - len(pending)
-                _sweep(ctx, ai, [_decode(a, head_masks[d]) for d in pending], tail, tally)
+                if pending:
+                    sets = [_decode(a, m) for m in tail]
+                    _sweep(ctx, ai, [_decode(a, head_masks[d]) for d in pending], sets, tally)
             offset += hi - lo
             slab += 1
             lo = 0

@@ -227,6 +227,18 @@ def _raw_column(a: Ambient, ys) -> list:
     return col
 
 
+def _least_translate(a: Ambient, m: int) -> int:
+    """The least of the masks of X + g over every carrier element g, where
+    X is the set of mask m over a commutative group `a` of mask form: two
+    masks get the same value exactly when one is a translate of the other.
+    Over zmod the translates are the n rotations of m."""
+    if type(a) is ZMod:
+        n = a.n
+        full = (1 << n) - 1
+        return min([(m << g | m >> (n - g)) & full for g in range(n)])
+    return min([_raw_sumset(a, m, (g,)) for g in a.carrier()])
+
+
 # -- sumsets ---------------------------------------------------------------
 
 

@@ -227,6 +227,27 @@ def test_broken_invariant_exits_3(capsys, monkeypatch):
     assert err.startswith("cdlab: internal error: ") and err.count("\n") == 1
 
 
+def test_zn_search_over_a_product_fails_before_any_work(capsys, monkeypatch, fresh_context):
+    import dataclasses
+
+    from cdlab import search as search_mod
+
+    calls = []
+    chk = search_mod.CHECKERS["zn"]
+    monkeypatch.setitem(
+        search_mod.CHECKERS, "zn",
+        dataclasses.replace(chk, run=lambda sets: calls.append(sets) or chk.run(sets)),
+    )
+    spec = json.dumps(
+        {"family": {"kind": "abelian_up_to_order", "max_order": 4}, "checker": "zn"}
+    )
+    status, out, err = run_cli(capsys, "search", "--spec", spec)
+    assert status == 2 and out == ""
+    assert err.startswith("cdlab: ") and err.count("\n") == 1
+    assert "zmod" in err and "Traceback" not in err
+    assert calls == []
+
+
 def test_usage_error_exits_2(capsys):
     status, out, err = run_cli(capsys, "no-such-command")
     assert status == 2 and out == ""

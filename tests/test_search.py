@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdlab import (
     FinSet,
@@ -331,7 +332,15 @@ def test_search_report_json_shape():
 
 
 _NONEMPTY = {"nonempty": True}
-_Z2Z4 = {"kind": "product", "factors": [{"kind": "zmod", "n": 2}, {"kind": "zmod", "n": 4}]}
+
+
+def _product(*ns):
+    return {"kind": "product", "factors": [{"kind": "zmod", "n": n} for n in ns]}
+
+
+_Z2Z4 = _product(2, 4)
+_Z2_3 = _product(2, 2, 2)
+_Z3Z3 = _product(3, 3)
 # every checker, symmetry reduction, each subset filter, one to three
 # summands and product ambients; chunks of 37 end inside slabs of Z6 and Z7
 _SLAB_SPECS = [
@@ -586,10 +595,9 @@ def test_conjecture_slab_hands_back_exactly_the_failing_heads():
     assert failing
 
 
-def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
-    # gamma = inf turns each bound into |X| + |Y| - 1 (or its hs form),
-    # which subgroups violate, so vouching for a failing head shows up as
-    # a missing violation
+def _gamma_at_inf(monkeypatch):
+    """gamma = inf turns each bound into |X| + |Y| - 1 (or its hs form),
+    which subgroups violate."""
     from cdlab import theorems
     from cdlab.extnat import INF
     from cdlab.gamma import GammaValue
@@ -599,6 +607,12 @@ def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
     # the tail parts through gamma_set, so with their gamma at inf every
     # failing head stays pending whatever the gamma memo holds for it
     monkeypatch.setattr(theorems, "gamma_tuple", lambda Xs: INF if all(Xs) else 0)
+
+
+def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
+    # with gamma at inf, vouching for a failing head, or handing a tail
+    # another class's heads, shows up as a missing or extra violation
+    _gamma_at_inf(monkeypatch)
     specs = [
         SearchSpec(**s)
         for s in (
@@ -615,13 +629,188 @@ def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
                  n_summands=3),
             dict(family={"kind": "abelian_up_to_order", "max_order": 4}, checker="conjecture",
                  subset_filter=_NONEMPTY),
+            # the class memo over products, where a translate is no rotation
+            dict(family={"kind": "explicit", "ambients": [_Z2_3]}, checker="udt",
+                 subset_filter={"max_size": 3}),
+            dict(family={"kind": "explicit", "ambients": [_Z3Z3]}, checker="theorem",
+                 subset_filter={"nonempty": True, "max_size": 2}),
         )
     ]
-    for spec in specs[:2] + specs[5:]:
+    for spec in specs[:2] + specs[5:9]:
         (off, on), _ = _slab_reports(monkeypatch, spec)
         assert on.violations
         assert json.dumps(on.violations) == json.dumps(off.violations)
     _slab_check(monkeypatch, specs)
+
+
+# checkers the class memo serves, over products where the least
+# translate is not a rotation, with filters and symmetry reduction
+_MEMO_SPECS = [
+    dict(family={"kind": "explicit", "ambients": [_Z2Z4]}, checker="udt",
+         subset_filter={"max_size": 3}),
+    dict(family={"kind": "explicit", "ambients": [_Z2Z4]}, checker="theorem",
+         subset_filter=_NONEMPTY, symmetry_reduction=True),
+    dict(family={"kind": "explicit", "ambients": [_Z2_3]}, checker="theorem",
+         subset_filter={"nonempty": True, "max_size": 4}),
+    dict(family={"kind": "explicit", "ambients": [_Z2_3, _Z3Z3]}, checker="udt",
+         subset_filter={"max_size": 3, "contains_identity": True}),
+    dict(family={"kind": "explicit", "ambients": [_Z3Z3]}, checker="conjecture",
+         subset_filter={"max_size": 3}),
+    dict(family={"kind": "abelian_up_to_order", "max_order": 4}, checker="conjecture",
+         n_summands=3, subset_filter=_NONEMPTY),
+]
+
+
+def _memo_off(monkeypatch):
+    """Key the class memo on each tail mask itself: every tail is its own
+    class, and each slab still takes its slice of the memo's list."""
+    monkeypatch.setattr(search_mod, "_least_translate", lambda a, m: m)
+    search_mod._context.cache_clear()
+
+
+def test_class_memo_matches_the_memo_off_and_brute_force(monkeypatch):
+    # gamma at inf makes violations common, so a class given another
+    # class's heads changes the report; chunks of 37 end inside slabs
+    specs = [SearchSpec(**s) for s in _MEMO_SPECS]
+    for chunk, gamma_inf in ((search_mod._CHUNK_EXHAUSTIVE, False), (37, True)):
+        with monkeypatch.context() as mp:
+            mp.setattr(search_mod, "_CHUNK_EXHAUSTIVE", chunk)
+            if gamma_inf:
+                _gamma_at_inf(mp)
+            on = []
+            for spec in specs:
+                search_mod._context.cache_clear()
+                on.append(_stable(run_search(spec)))
+            _memo_off(mp)
+            for spec, want in zip(specs, on):
+                search_mod._context.cache_clear()
+                assert _stable(run_search(spec)) == want, (chunk, gamma_inf, spec)
+        search_mod._context.cache_clear()
+    _slab_check(monkeypatch, specs)
+
+
+def _translate(X, g):
+    a = X.ambient
+    return FinSet(a, [a.add(x, g) for x in X])
+
+
+def _classes(a, admits):
+    """The number of translation classes of the admitted subsets of a,
+    from the elements."""
+    found = set()
+    for m in range(1 << a.carrier_size):
+        if admits(m):
+            X = FinSet.from_mask(a, m)
+            found.add(frozenset(_translate(X, g).raw for g in a.carrier()))
+    return len(found)
+
+
+def _entry_calls(monkeypatch, spec):
+    """The ambient of each call of the checker's slab entry in spec's
+    search, with how many classes the memo held at that call."""
+    name = resolve_checker(spec.checker)
+    chk = search_mod.CHECKERS[name]
+    key = json.dumps(spec.to_json(), sort_keys=True)
+    calls = []
+
+    def slab(heads, tail):
+        _, memo = search_mod._context(key)._classes
+        calls.append((tail[0].ambient, len(memo)))
+        return chk.slab(heads, tail)
+
+    monkeypatch.setitem(search_mod.CHECKERS, name, dataclasses.replace(chk, slab=slab))
+    search_mod._context.cache_clear()
+    run_search(spec)
+    monkeypatch.setitem(search_mod.CHECKERS, name, chk)
+    search_mod._context.cache_clear()
+    return calls
+
+
+def test_class_memo_serves_only_abelian_groups_and_invariant_checkers(monkeypatch):
+    # no memo: one entry call per admitted tail, as without it
+    for family, checker, flt in (
+        ({"kind": "explicit", "ambients": [fixtures.s3().describe()]}, "theorem", {}),
+        ({"kind": "explicit", "ambients": [fixtures.d4().describe()]}, "udt", {}),
+        ({"kind": "explicit", "ambients": [fixtures.q8().describe()]}, "udt", _NONEMPTY),
+        ({"kind": "explicit", "ambients": [fixtures.left_zero_band(3).describe()]}, "udt", {}),
+        ({"kind": "zmod_range", "lo": 1, "hi": 6}, "hs", {}),
+    ):
+        spec = SearchSpec(family=family, checker=checker, subset_filter=flt)
+        calls = _entry_calls(monkeypatch, spec)
+        tails = sum((1 << a.carrier_size) - bool(flt) for a in family_ambients(family))
+        assert len(calls) == tails and all(held == 0 for _, held in calls), family
+    # memo: one entry call per class of admitted tails, across the item
+    # boundary inside Z8, and never more classes held than the ambient has
+    for family, flt in (
+        ({"kind": "zmod_range", "lo": 1, "hi": 8}, {}),
+        ({"kind": "explicit", "ambients": [_Z2Z4, _Z2_3]}, _NONEMPTY),
+        ({"kind": "explicit", "ambients": [_Z3Z3]}, {"max_size": 3}),
+    ):
+        spec = SearchSpec(family=family, checker="udt", subset_filter=flt)
+        calls = _entry_calls(monkeypatch, spec)
+        cap = flt.get("max_size", 1 << 9)
+        for a in family_ambients(family):
+            n_classes = _classes(a, lambda m: m.bit_count() <= cap and (m or not flt.get("nonempty")))
+            held = [h for b, h in calls if b == a]
+            assert len(held) == n_classes, (family, a)
+            assert held == list(range(n_classes)), (family, a)
+
+
+def test_class_memo_agrees_across_workers(monkeypatch):
+    # items of 1000 instances cut the slabs of Z7, so a class's tails
+    # fall in several items, run by different workers
+    monkeypatch.setattr(search_mod, "_CHUNK_EXHAUSTIVE", 1000)
+    base = dict(
+        family={"kind": "explicit", "ambients": [{"kind": "zmod", "n": n} for n in (2, 3, 5, 7)]},
+        checker="udt",
+        subset_filter=_NONEMPTY,
+    )
+    search_mod._context.cache_clear()
+    one, two = (_stable(run_search(SearchSpec(**base, workers=w))) for w in (1, 2))
+    assert len(one["per_item"]) > 10
+    assert one == two
+    with monkeypatch.context() as mp:
+        _memo_off(mp)
+        assert _stable(run_search(SearchSpec(**base, workers=2))) == one
+    search_mod._context.cache_clear()
+
+
+def _holds(chk, sets):
+    return chk.run(sets).holds
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionViolated:
+        return "skipped"
+
+
+_GROUPS = enumerate_abelian_groups(10)
+_INVARIANT = sorted(n for n, c in search_mod.CHECKERS.items() if c.translation_invariant)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_translation_invariant_checkers_ignore_translates(data):
+    # the flag claims that translating each set by an element of its own
+    # leaves the runner's holds, and the slab entry's heads for the tail,
+    # unchanged over an abelian group
+    a = data.draw(st.sampled_from(_GROUPS), label="ambient")
+    n = a.carrier_size
+    for name in _INVARIANT:
+        chk = search_mod.CHECKERS[name]
+        if chk.ambient_kind not in (None, a.kind):
+            continue
+        k = chk.arity or 3  # the conjecture: a head and a tail of two sets
+        masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k), label=name)
+        shifts = data.draw(st.lists(st.sampled_from(a.carrier()), min_size=k, max_size=k))
+        sets = [FinSet.from_mask(a, m) for m in masks]
+        moved = [_translate(X, g) for X, g in zip(sets, shifts)]
+        assert _outcome(_holds, chk, moved) == _outcome(_holds, chk, sets), name
+        if chk.slab is not None:
+            heads = list(range(1 << n))
+            assert _outcome(chk.slab, heads, moved[1:]) == _outcome(chk.slab, heads, sets[1:]), name
 
 
 def _counted_decodes(monkeypatch):

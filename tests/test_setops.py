@@ -484,3 +484,36 @@ def test_construction_routes_agree(a):
 def test_sets_over_different_ambients_differ():
     assert FinSet(Z5, [0, 1]) != FinSet(Z6, [0, 1])
     assert FinSet(Z5, [0, 1]).raw == FinSet(Z6, [0, 1]).raw
+
+
+def _product(*ns):
+    return make_ambient({"kind": "product", "factors": [{"kind": "zmod", "n": n} for n in ns]})
+
+
+@pytest.mark.parametrize(
+    "a",
+    [make_ambient({"kind": "zmod", "n": n}) for n in (1, 2, 5, 6, 8)]
+    + [
+        _product(2, 4),
+        _product(2, 2, 2),
+        _product(3, 3),
+        make_ambient({"kind": "cayley", "table": [[(i + j) % 4 for j in range(4)] for i in range(4)]}),
+    ],
+    ids=lambda a: str(a.describe()),
+)
+def test_least_translate_names_the_translation_class(a):
+    # brute force: the least mask of {x + g : x in X} over every g, built
+    # from the elements; two masks share it exactly when one is a
+    # translate of the other
+    carrier = a.carrier()
+    by_value = {}
+    translates = {}
+    for m in range(1 << len(carrier)):
+        X = FinSet.from_mask(a, m)
+        masks = {FinSet(a, [a.add(x, g) for x in X]).raw for g in carrier}
+        got = setops._least_translate(a, m)
+        assert got == min(masks), m
+        translates[m] = masks
+        by_value.setdefault(got, set()).add(m)
+    for m, masks in translates.items():
+        assert by_value[setops._least_translate(a, m)] == masks, m
