@@ -144,11 +144,8 @@ class Ambient:
         return self._index[x]
 
     def index_table(self):
-        """Addition on carrier indices, or None when the carrier is absent
-        or too large to tabulate."""
-        n = self.carrier_size
-        if n is None or n > TABLE_CAP:
-            return None
+        """Addition on carrier indices, built on first use; callers ask for
+        it only over finite carriers of at most TABLE_CAP elements."""
         if self._table is None:
             elems = self.carrier()
             idx = self.index_of

@@ -66,6 +66,15 @@ def _sets_from(ambient, text: str, what: str) -> list:
     return [FinSet.from_json(ambient, s) for s in payload]
 
 
+def _one_of(args, *flags) -> str:
+    """The one flag of these alternatives that was given."""
+    given = [f for f in flags if getattr(args, f) is not None]
+    if len(given) != 1:
+        names = " and ".join(f"--{f}" for f in flags)
+        raise ValueError(f"{args.command} takes exactly one of {names}")
+    return given[0]
+
+
 def _render(doc: dict, args) -> str:
     if args.format == "table":
         rows = []
@@ -80,7 +89,7 @@ def _render(doc: dict, args) -> str:
 
 
 def _emit(doc: dict, args) -> None:
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w") as fh:
                 json.dump(doc, fh, indent=2, sort_keys=True)
@@ -95,12 +104,10 @@ def _emit(doc: dict, args) -> None:
 
 def _cmd_gamma(args):
     a = _ambient_from(args)
-    if args.sets:
+    if _one_of(args, "x", "sets") == "sets":
         sets = _sets_from(a, args.sets, "--sets")
         value = gamma_tuple(sets)
         return 0, {"value": encode_extnat(value), "n_sets": len(sets)}
-    if args.x is None:
-        raise ValueError("gamma needs --x or --sets")
     X = _set_from(a, args.x, "--x")
     return 0, gamma_set(X).to_json(a)
 
@@ -125,13 +132,10 @@ def _cmd_difference(args):
 
 def _cmd_ord(args):
     a = _ambient_from(args)
-    if args.elem is not None:
-        x = a.decode(_load_json_arg(args.elem, "--elem"))
-        value = ord_elem(a, x)
-    elif args.x is not None:
-        value = ord_set(_set_from(a, args.x, "--x"))
+    if _one_of(args, "x", "elem") == "elem":
+        value = ord_elem(a, a.decode(_load_json_arg(args.elem, "--elem")))
     else:
-        raise ValueError("ord needs --x (a set) or --elem (one element)")
+        value = ord_set(_set_from(a, args.x, "--x"))
     return 0, {"value": encode_extnat(value)}
 
 
@@ -154,11 +158,11 @@ def _cmd_davenport(args):
 
 def _cmd_check(args):
     a = _ambient_from(args)
-    if args.sets:
+    if _one_of(args, "x", "sets") == "sets":
+        if args.y is not None:
+            raise ValueError("check takes --y only with --x")
         sets = _sets_from(a, args.sets, "--sets")
     else:
-        if args.x is None:
-            raise ValueError(f"checker {args.which!r} needs --x and --y (or --sets)")
         sets = [_set_from(a, args.x, "--x")]
         if args.y is not None:
             sets.append(_set_from(a, args.y, "--y"))

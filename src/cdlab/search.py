@@ -3,14 +3,15 @@
 A SearchSpec names a family of finite ambients, one registered checker,
 how many summand sets each instance takes, subset filters, and a mode:
 exhaustive (every tuple of carrier subsets, counted against a ceiling) or
-random (seeded, a fixed number of trials).  Work is cut into fixed-size
-items independent of the worker count, so two runs of the same spec agree
-exactly no matter how many workers execute them; random instances are
-derived from the seed and the trial index alone.
+random (seeded, a fixed number of trials).  Work is cut into items
+independent of the worker count, so two runs of the same spec agree
+exactly no matter how many workers execute them: an exhaustive item is a
+run of whole slabs, a random one a run of trials, and random instances
+are derived from the seed and the trial index alone.
 
-An exhaustive range is walked slab by slab over carrier masks: a slab
-fixes the trailing sets and runs slot 0 over a slice of its admitted
-heads.  A checker with a slab entry vouches for whole slabs at once from
+An exhaustive item is walked slab by slab over carrier masks: a slab
+fixes the trailing sets and runs slot 0 over all of its admitted heads.
+A checker with a slab entry vouches for whole slabs at once from
 one sumset column and hands back only the heads it cannot vouch for,
 which go through the per-instance runner like every head of the other
 checkers.  When the tail fails the checker's hypotheses the entry raises
@@ -35,7 +36,6 @@ import math
 import multiprocessing
 import random
 import time
-from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 
@@ -53,6 +53,8 @@ from . import theorems
 DEFAULT_CEILING = 1 << 30
 # random mode draws a mask with random.getrandbits, which takes a C int
 _MAX_DRAW_BITS = (1 << 31) - 1
+# the least number of instances in an exhaustive item; an item ends at the
+# first slab boundary at or after it
 _CHUNK_EXHAUSTIVE = 1 << 16
 _CHUNK_RANDOM = 4096
 
@@ -364,12 +366,7 @@ class _Context:
                 _Space(a, spec.n_summands, spec.symmetry_reduction)
                 for a in self.ambients
             ]
-            self.offsets = []
-            acc = 0
-            for s in self.spaces:
-                self.offsets.append(acc)
-                acc += s.total
-            self.total = acc
+            self.total = sum(s.total for s in self.spaces)
         else:
             self.total = spec.mode["trials"]
         self._heads = {}
@@ -385,22 +382,12 @@ class _Context:
         return self._classes[1]
 
     def heads(self, ai: int) -> list:
-        """The digits of slot 0 that the subset filter admits, in order.
-        They are the head masks themselves unless slot 0 is the reduced
-        slot (one summand with symmetry reduction), where they index
-        space.masks(0)."""
+        """The masks of slot 0 that the subset filter admits, in order."""
         got = self._heads.get(ai)
         if got is None:
             masks = self.spaces[ai].masks(0)
-            got = [d for d, m in enumerate(masks) if _admits(self, ai, 0, m)]
-            self._heads[ai] = got
+            got = self._heads[ai] = [m for m in masks if _admits(self, ai, 0, m)]
         return got
-
-    def locate(self, flat: int):
-        for ai in range(len(self.spaces) - 1, -1, -1):
-            if flat >= self.offsets[ai]:
-                return ai, flat - self.offsets[ai]
-        raise IndexError(flat)
 
 
 @lru_cache(maxsize=1)
@@ -469,23 +456,19 @@ def _vouch(slab_entry, heads: list, tail: list) -> list:
         return heads
 
 
-def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
-    """Walk flat indices [start, end) slab by slab: a slab fixes the
-    trailing slots and sweeps slot 0 over a slice of its digits.  Heads
-    the filter rejects are skipped, heads the checker's slab entry vouches
-    for are checked, and only the heads left over go through _sweep.
-    Over an abelian group a translation invariant entry runs once per
-    translation class of tails, over all admitted heads, and each slab
-    takes its slice.  The tail is decoded only where the entry or the
-    runner reads it."""
+def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
+    """Walk the slabs [first, end) of ambient ai for each (ai, first, end)
+    of segments: a slab fixes the trailing slots and sweeps slot 0 over
+    every admitted head.  Heads the filter rejects are skipped, heads the
+    checker's slab entry vouches for are checked, and only the heads left
+    over go through _sweep.  Over an abelian group a translation invariant
+    entry runs once per translation class of tails.  The tail is decoded
+    only where the entry or the runner reads it."""
     chk = ctx.checker
-    flat = start
-    while flat < end:
-        ai, offset = ctx.locate(flat)
+    for ai, first, end in segments:
         a = ctx.ambients[ai]
         space = ctx.spaces[ai]
-        stop = min(end - ctx.offsets[ai], space.total)
-        heads, head_masks = ctx.heads(ai), space.masks(0)
+        heads = ctx.heads(ai)
         trailing = [(space.masks(s), space.bases[s]) for s in range(1, len(space.bases))]
         # a slab entry builds its column over the tail: one summand has none
         slab_entry = chk.slab if trailing and _mask_form(a) else None
@@ -499,39 +482,30 @@ def _run_exhaustive_range(ctx: _Context, start: int, end: int, tally: dict):
         ):
             classes = ctx.classes(ai)
         width = space.bases[0]
-        slab, lo = divmod(offset, width)
-        while offset < stop:
-            hi = min(width, lo + stop - offset)
+        for slab in range(first, end):
             tail = []
             rest = slab
             for masks, base in trailing:
                 rest, digit = divmod(rest, base)
                 tail.append(masks[digit])
             if not all(_admits(ctx, ai, slot, m) for slot, m in enumerate(tail, 1)):
-                tally["skipped"] += hi - lo
-            else:
-                i, j = bisect_left(heads, lo), bisect_left(heads, hi)
-                tally["skipped"] += hi - lo - (j - i)
-                if classes is not None:
-                    key = tuple([_least_translate(a, m) for m in tail])
-                    got = classes.get(key)
-                    if got is None:
-                        sets = [_decode(a, m) for m in tail]
-                        got = classes[key] = _vouch(slab_entry, heads, sets)
-                    pending = got[bisect_left(got, lo):bisect_left(got, hi)]
-                elif slab_entry is not None:
-                    pending = _vouch(slab_entry, heads[i:j], [_decode(a, m) for m in tail])
-                else:
-                    pending = heads[i:j]
-                if slab_entry is not None:
-                    tally["checked"] += j - i - len(pending)
-                if pending:
+                tally["skipped"] += width
+                continue
+            tally["skipped"] += width - len(heads)
+            if classes is not None:
+                key = tuple([_least_translate(a, m) for m in tail])
+                pending = classes.get(key)
+                if pending is None:
                     sets = [_decode(a, m) for m in tail]
-                    _sweep(ctx, ai, [_decode(a, head_masks[d]) for d in pending], sets, tally)
-            offset += hi - lo
-            slab += 1
-            lo = 0
-        flat = ctx.offsets[ai] + stop
+                    pending = classes[key] = _vouch(slab_entry, heads, sets)
+            elif slab_entry is not None:
+                pending = _vouch(slab_entry, heads, [_decode(a, m) for m in tail])
+            else:
+                pending = heads
+            tally["checked"] += len(heads) - len(pending)
+            if pending:
+                sets = [_decode(a, m) for m in tail]
+                _sweep(ctx, ai, [_decode(a, m) for m in pending], sets, tally)
 
 
 def _sample_instance(ctx: _Context, index: int):
@@ -559,13 +533,13 @@ def _run_random_range(ctx: _Context, start: int, end: int, tally: dict):
 
 
 def _run_item(payload):
-    spec_json, item, start, end = payload
+    spec_json, item, work = payload
     ctx = _context(spec_json)
     tally = {"item": item, "checked": 0, "skipped": 0, "violations": []}
     if ctx.spec.mode["kind"] == "exhaustive":
-        _run_exhaustive_range(ctx, start, end, tally)
+        _run_exhaustive_range(ctx, work, tally)
     else:
-        _run_random_range(ctx, start, end, tally)
+        _run_random_range(ctx, *work, tally)
     return tally
 
 
@@ -607,8 +581,14 @@ def _over_ceiling(bits: int, ceiling: int) -> CeilingExceeded:
 
 
 def run_search(spec: SearchSpec) -> SearchReport:
-    """Partition the instance space into fixed-size items, run them on the
-    requested number of workers, and merge the results in item order."""
+    """Partition the instance space into items, run them on the requested
+    number of workers, and merge the results in item order.
+
+    A random item is a run of _CHUNK_RANDOM trials.  An exhaustive item is
+    a run of whole slabs, possibly across ambients: it closes at the first
+    slab boundary where it holds at least _CHUNK_EXHAUSTIVE instances, so
+    only the last item may hold fewer.  A one-summand spec has one slab
+    per ambient, so each of its ambients lands whole in one item."""
     started = time.monotonic()
     _, ambients = _validate_spec(spec)
     exhaustive = spec.mode["kind"] == "exhaustive"
@@ -624,17 +604,26 @@ def run_search(spec: SearchSpec) -> SearchReport:
     if exhaustive:
         if ctx.total > spec.ceiling:
             raise _over_ceiling(ctx.total.bit_length() - 1, spec.ceiling)
-        chunk = _CHUNK_EXHAUSTIVE
+        # whole slabs in ambient order, as (ambient index, first slab, end
+        # slab) segments, filled into an item until it reaches the chunk
+        work, item, size = [], [], 0
+        for ai, space in enumerate(ctx.spaces):
+            width = space.bases[0]
+            slabs, first = space.total // width, 0
+            while first < slabs:
+                end = min(slabs, first + (_CHUNK_EXHAUSTIVE - size + width - 1) // width)
+                item.append((ai, first, end))
+                size += (end - first) * width
+                first = end
+                if size >= _CHUNK_EXHAUSTIVE:
+                    work.append(item)
+                    item, size = [], 0
+        if item:
+            work.append(item)
     else:
-        chunk = _CHUNK_RANDOM
-    payloads = []
-    start = 0
-    item = 0
-    while start < ctx.total:
-        end = min(start + chunk, ctx.total)
-        payloads.append((spec_json, item, start, end))
-        item += 1
-        start = end
+        starts = range(0, ctx.total, _CHUNK_RANDOM)
+        work = [(start, min(start + _CHUNK_RANDOM, ctx.total)) for start in starts]
+    payloads = [(spec_json, item, w) for item, w in enumerate(work)]
     if spec.workers == 1 or len(payloads) <= 1:
         results = [_run_item(p) for p in payloads]
     else:

@@ -1,15 +1,21 @@
 import argparse
+import contextlib
 import inspect
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cdlab
 from cdlab.cli import build_parser, main
 
 Z6 = '{"kind":"zmod","n":6}'
 Z4 = '{"kind":"zmod","n":4}'
+_SUBCOMMANDS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
 
 
 def run_cli(capsys, *argv):
@@ -207,6 +213,16 @@ def _spec(**fields):
             "family": {"kind": "zmod_range", "lo": 3000000000, "hi": 3000000000},
             "checker": "udt", "mode": {"kind": "random", "seed": 1, "trials": 1},
         })),
+        # a flag given with its alternative, or an empty --out or --sets, is
+        # refused rather than ignored
+        ("ord", "--ambient", Z6, "--elem", "2", "--x", "{}"),
+        ("gamma", "--ambient", Z6, "--x", "[9]", "--sets", "[[0]]"),
+        ("check", "--which", "conjecture", "--ambient", Z6, "--sets", "[[0],[1]]",
+         "--y", "[9]"),
+        ("gamma", "--ambient", Z6, "--x", "[0,2]", "--sets", ""),
+        ("check", "--which", "udt", "--ambient", Z6, "--x", "[0,1]", "--y", "[0,2]",
+         "--sets", ""),
+        ("gamma", "--ambient", Z6, "--x", "[0,2]", "--out", ""),
     ],
 )
 def test_malformed_field_types_exit_2(capsys, argv):
@@ -375,10 +391,123 @@ def test_only_generated_takes_a_budget():
         if callable(obj) and "budget" in inspect.signature(obj).parameters:
             takers.add(name)
     assert takers == {"generated", "generated_sym"}
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     flagged = {
         cmd
-        for cmd, p in sub.choices.items()
+        for cmd, p in _SUBCOMMANDS.items()
         if any("--budget" in a.option_strings for a in p._actions)
     }
     assert flagged == {"generated"}
+
+
+Z5 = '{"kind":"zmod","n":5}'
+# arguments each subcommand runs with; the fuzz gives one flag a bad value
+_VALID = {
+    "gamma": ["--ambient", Z6, "--x", "[0,2]"],
+    "sumset": ["--ambient", Z6, "--x", "[0]", "--y", "[1]"],
+    "difference": ["--ambient", Z6, "--x", "[1]", "--y", "[2]"],
+    "ord": ["--ambient", Z6, "--elem", "2"],
+    "generated": ["--ambient", Z6, "--x", "[2]"],
+    "davenport": ["--ambient", Z5, "--x", "[0]", "--y", "[0,1]", "--z", "2"],
+    "check": ["--which", "udt", "--ambient", Z6, "--x", "[0,1]", "--y", "[0,2]"],
+    "descent": ["--ambient", Z5, "--x", "[0]", "--y", "[0,1]"],
+    "search": ["--spec", _spec()],
+    "replay": ["--instance", json.dumps(
+        {"ambient": {"kind": "zmod", "n": 3}, "checker": "udt", "sets": [[0], [1]]}
+    )],
+}
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _is_elem(v):
+    return type(v) is int and 0 <= v < 5  # a residue of both Z5 and Z6
+
+
+def _is_set(v):
+    return isinstance(v, list) and all(map(_is_elem, v))
+
+
+def _not_json(text):
+    try:
+        json.loads(text)
+    except ValueError:
+        return not os.path.exists(text.strip())
+    return False
+
+
+def _not_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+# JSON of the wrong shape for each JSON flag: an object flag gets a
+# non-object or an object of unknown keys
+_NOT_OBJECT = _JSON.filter(lambda v: not isinstance(v, dict)) | st.dictionaries(
+    st.text(max_size=4).map("?".__add__), _JSON, max_size=2
+)
+_NOT_SET = _JSON.filter(lambda v: not _is_set(v))
+_NOT_ELEM = _JSON.filter(lambda v: not _is_elem(v))
+_WRONG_SHAPE = {
+    "ambient": _NOT_OBJECT,
+    "spec": _NOT_OBJECT,
+    "instance": _NOT_OBJECT,
+    "x": _NOT_SET,
+    "y": _NOT_SET,
+    "sets": _JSON.filter(lambda v: not (isinstance(v, list) and all(map(_is_set, v)))),
+    "elem": _NOT_ELEM,
+    "z": _NOT_ELEM,
+}
+
+
+def _bad_value(action):
+    """Text that the flag of this parser action must refuse."""
+    if action.nargs == 0:
+        return st.text(max_size=4)  # given as --flag=text
+    if action.choices is not None:
+        return st.text(max_size=8).filter(lambda t: t not in action.choices)
+    if action.type is int:
+        return st.text(max_size=8).filter(_not_int)
+    if action.dest == "out":
+        here = os.path.dirname(__file__)
+        return st.sampled_from(["", here, os.path.join(here, "no-such-dir", "out.json")])
+    return _WRONG_SHAPE[action.dest].map(json.dumps) | st.text(max_size=8).filter(_not_json)
+
+
+def _without(argv, flag):
+    """argv less flag and its value."""
+    if flag not in argv:
+        return list(argv)
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+def test_fuzz_baselines_exit_0(capsys):
+    assert set(_VALID) == set(_SUBCOMMANDS)
+    for cmd, argv in _VALID.items():
+        assert run_cli(capsys, cmd, *argv)[0] == 0, cmd
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_every_flag_refuses_a_bad_value(data):
+    # one subcommand per example, each of its flags in turn: exit 2, one
+    # line on stderr, nothing on stdout and no traceback
+    cmd = data.draw(st.sampled_from(sorted(_SUBCOMMANDS)), label="subcommand")
+    for action in _SUBCOMMANDS[cmd]._actions:
+        if not action.option_strings:
+            continue
+        flag = action.option_strings[-1]
+        value = data.draw(_bad_value(action), label=flag)
+        argv = [cmd, *_without(_VALID[cmd], flag), f"{flag}={value}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main(argv)
+        assert status == 2 and out.getvalue() == "", argv
+        assert err.getvalue().startswith("cdlab: ") and err.getvalue().count("\n") == 1, argv

@@ -33,12 +33,12 @@ DIGESTS = [
     (
         dict(family={"kind": "zmod_range", "lo": 2, "hi": 9}, checker="udt",
              subset_filter=_NONEMPTY),
-        "7905d379e3a1da8cbae80cd6e47eff911becf2d9550585c5226048608fd41ff8",
+        "00c4e96378f6b93ea4c3eedad27e0a626b553c586c421eec0063e1dfa765096e",
     ),
     (
         dict(family={"kind": "zmod_range", "lo": 2, "hi": 9}, checker="udt",
              subset_filter=_NONEMPTY, workers=2),
-        "ddc711341067fbafb5856e0e2cef116876bfacbc8a1779a6e9dd187e2f4dd3af",
+        "a026f792d5c84aea1d8462f29a6ba6af2af9c2edb11a34237603a45e909c9a63",
     ),
     (
         dict(family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="hs",

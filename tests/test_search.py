@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -342,7 +343,8 @@ _Z2Z4 = _product(2, 4)
 _Z2_3 = _product(2, 2, 2)
 _Z3Z3 = _product(3, 3)
 # every checker, symmetry reduction, each subset filter, one to three
-# summands and product ambients; chunks of 37 end inside slabs of Z6 and Z7
+# summands and product ambients; at chunk 37 an item holds one slab of Z6
+# or Z7, a few slabs of a smaller ambient, or slabs of two ambients
 _SLAB_SPECS = [
     dict(family={"kind": "zmod_range", "lo": 2, "hi": 6}, checker="theorem_main",
          subset_filter=_NONEMPTY),
@@ -392,7 +394,8 @@ _SLAB_SPECS = [
          symmetry_reduction=True),
     dict(family={"kind": "abelian_up_to_order", "max_order": 6}, checker="theorem",
          subset_filter=_NONEMPTY, symmetry_reduction=True),
-    # the one reduced slot 0: its digits index the masks holding the identity
+    # the one reduced slot 0: its heads are the empty mask and the masks
+    # holding the identity
     dict(family={"kind": "zmod_range", "lo": 1, "hi": 7}, checker="conjecture",
          n_summands=1, symmetry_reduction=True),
     # the structure test in the slab, over product ambients too
@@ -663,14 +666,14 @@ _MEMO_SPECS = [
 
 def _memo_off(monkeypatch):
     """Key the class memo on each tail mask itself: every tail is its own
-    class, and each slab still takes its slice of the memo's list."""
+    class."""
     monkeypatch.setattr(search_mod, "_least_translate", lambda a, m: m)
     search_mod._context.cache_clear()
 
 
 def test_class_memo_matches_the_memo_off_and_brute_force(monkeypatch):
     # gamma at inf makes violations common, so a class given another
-    # class's heads changes the report; chunks of 37 end inside slabs
+    # class's heads changes the report; at chunk 37 an item holds a few slabs
     specs = [SearchSpec(**s) for s in _MEMO_SPECS]
     for chunk, gamma_inf in ((search_mod._CHUNK_EXHAUSTIVE, False), (37, True)):
         with monkeypatch.context() as mp:
@@ -757,8 +760,8 @@ def test_class_memo_serves_only_abelian_groups_and_invariant_checkers(monkeypatc
 
 
 def test_class_memo_agrees_across_workers(monkeypatch):
-    # items of 1000 instances cut the slabs of Z7, so a class's tails
-    # fall in several items, run by different workers
+    # items of at least 1000 instances hold eight slabs of Z7 each, so a
+    # class's tails fall in several items, run by different workers
     monkeypatch.setattr(search_mod, "_CHUNK_EXHAUSTIVE", 1000)
     base = dict(
         family={"kind": "explicit", "ambients": [{"kind": "zmod", "n": n} for n in (2, 3, 5, 7)]},
@@ -773,6 +776,83 @@ def test_class_memo_agrees_across_workers(monkeypatch):
         _memo_off(mp)
         assert _stable(run_search(SearchSpec(**base, workers=2))) == one
     search_mod._context.cache_clear()
+
+
+def _payloads(monkeypatch, spec):
+    """The work of each item run_search builds for spec, in item order;
+    no item is run."""
+    works = []
+
+    def run_item(payload):
+        _, item, work = payload
+        works.append(work)
+        return {"item": item, "checked": 0, "skipped": 0, "violations": []}
+
+    monkeypatch.setattr(search_mod, "_run_item", run_item)
+    search_mod._context.cache_clear()
+    run_search(spec)
+    search_mod._context.cache_clear()
+    return works
+
+
+def _slabs(spec):
+    """(slab width, slab count) of each ambient of an exhaustive spec,
+    from the carrier sizes: the last slot of a reduced spec runs over the
+    empty mask and the 2^(n-1) masks holding the identity."""
+    out = []
+    for a in family_ambients(spec.family):
+        bases = [1 << a.carrier_size] * spec.n_summands
+        if spec.symmetry_reduction:
+            bases[-1] = (1 << (a.carrier_size - 1)) + 1
+        out.append((bases[0], math.prod(bases[1:])))
+    return out
+
+
+_LAYOUT_SPECS = [
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 7}, checker="udt"),
+    dict(family={"kind": "explicit", "ambients": [_Z2Z4, _Z2_3, _Z3Z3]}, checker="theorem",
+         subset_filter=_NONEMPTY),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 4}, checker="conjecture",
+         n_summands=3, symmetry_reduction=True),
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 9}, checker="conjecture",
+         n_summands=1, symmetry_reduction=True),
+]
+
+
+def test_exhaustive_items_are_runs_of_whole_slabs(monkeypatch):
+    for chunk in (search_mod._CHUNK_EXHAUSTIVE, 37, 1000):
+        monkeypatch.setattr(search_mod, "_CHUNK_EXHAUSTIVE", chunk)
+        for doc in _LAYOUT_SPECS:
+            spec = SearchSpec(**doc)
+            slabs = _slabs(spec)
+            items = _payloads(monkeypatch, spec)
+            walked = [(ai, s) for item in items for ai, first, end in item for s in range(first, end)]
+            assert walked == [(ai, s) for ai, (_, n) in enumerate(slabs) for s in range(n)]
+            for item in items[:-1]:
+                size = sum((end - first) * slabs[ai][0] for ai, first, end in item)
+                last_width = slabs[item[-1][0]][0]
+                assert chunk <= size < chunk + last_width, (chunk, doc, item)
+
+
+def test_bench_specs_keep_their_item_counts(monkeypatch):
+    primes = {"kind": "explicit", "ambients": [{"kind": "zmod", "n": p} for p in (2, 3, 5, 7, 11)]}
+    for doc, count in (
+        (dict(family={"kind": "zmod_range", "lo": 2, "hi": 8}, checker="theorem",
+              subset_filter=_NONEMPTY), 2),
+        (dict(family=primes, checker="udt", subset_filter=_NONEMPTY), 65),
+        (dict(family={"kind": "zmod_range", "lo": 1, "hi": 8}, checker="hs"), 2),
+    ):
+        assert len(_payloads(monkeypatch, SearchSpec(**doc))) == count, doc
+    # random items stay runs of _CHUNK_RANDOM trials
+    trials = 6 * 4096
+    spec = SearchSpec(
+        family={"kind": "abelian_up_to_order", "max_order": 10}, checker="conjecture",
+        n_summands=3, subset_filter=_NONEMPTY,
+        mode={"kind": "random", "seed": 1, "trials": trials},
+    )
+    assert _payloads(monkeypatch, spec) == [(s, s + 4096) for s in range(0, trials, 4096)]
+    spec.mode = {"kind": "random", "seed": 1, "trials": 5000}
+    assert _payloads(monkeypatch, spec) == [(0, 4096), (4096, 5000)]
 
 
 def _holds(chk, sets):
@@ -873,7 +953,7 @@ def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_con
 
 
 def test_reduced_slot_zero_runs_the_sets_holding_the_identity(monkeypatch, fresh_context):
-    # with one summand, slot 0 is the reduced slot: its digits index the
+    # with one summand, slot 0 is the reduced slot: its heads are the
     # empty mask and the masks holding the identity, and the runner must
     # see those sets, in order
     real = search_mod.CHECKERS["conjecture"]
