@@ -32,7 +32,7 @@ from .setops import (
 from .search import CHECKERS, SearchSpec, _int_field, replay, run_checker, run_search
 from .theorems import davenport_transform, descent
 
-_USAGE_ERRORS = (CdlabError, ValueError, KeyError)
+_USAGE_ERRORS = (CdlabError, ValueError)
 
 
 def _load_json_arg(text: str, what: str):
@@ -118,7 +118,7 @@ def _cmd_sumset(args):
     if args.y is not None:
         out = sumset(X, _set_from(a, args.y, "--y"))
     else:
-        out = iterated_sumset(args.n, X)
+        out = iterated_sumset(1 if args.n is None else args.n, X)
     return 0, {"elements": out.to_json(), "size": len(out)}
 
 
@@ -233,8 +233,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sumset", help="X + Y, or the n-fold sumset of X")
     _add_common(p)
     p.add_argument("--x", required=True)
-    p.add_argument("--y")
-    p.add_argument("--n", type=int, default=1, help="fold count when --y is absent")
+    alt = p.add_mutually_exclusive_group()
+    alt.add_argument("--y")
+    alt.add_argument("--n", type=int, help="fold count when --y is absent; 1 by default")
     p.set_defaults(fn=_cmd_sumset)
 
     p = sub.add_parser("difference", help="difference set on the chosen side")

@@ -102,26 +102,21 @@ def _pair(fn):
     return lambda sets: fn(sets[0], sets[1])
 
 
-def _pair_slab(fn):
-    """Slab entry for a checker of one pair: fn(head masks, Y)."""
-    return lambda heads, tail: fn(heads, tail[0])
-
-
 CHECKERS = {
     "theorem": Checker(
         2,
         _pair(theorems.check_theorem_main),
         translation_invariant=True,
-        slab=_pair_slab(theorems.slab_theorem_main),
+        slab=theorems.slab_theorem_main,
     ),
     "prop13": Checker(2, _pair(theorems.check_prop_equiv)),
     "udt": Checker(
         2,
         _pair(theorems.check_cor_udt),
         translation_invariant=True,
-        slab=_pair_slab(theorems.slab_cor_udt),
+        slab=theorems.slab_cor_udt,
     ),
-    "hs": Checker(2, _pair(theorems.check_cor_hs), slab=_pair_slab(theorems.slab_cor_hs)),
+    "hs": Checker(2, _pair(theorems.check_cor_hs), slab=theorems.slab_cor_hs),
     "zn": Checker(
         2, _pair(theorems.check_cor_zn), translation_invariant=True, ambient_kind="zmod"
     ),

@@ -377,23 +377,25 @@ def ord_set(X: FinSet) -> ExtNat:
     """Size of the subsemigroup generated by X, possibly INF."""
     if not X.elements:
         return 0
-    walked = _closures(X, generated)
-    return INF if walked is None else walked[0].budget_used
+    walked = _closure_walk(X, generated)
+    return INF if walked is None else walked.budget_used
 
 
-def _closures(X: FinSet, *walks):
-    """The closure rule: walk(X, bound) for each walk (generated or
-    generated_sym), or None when the kind's gen_size_bound certifies
-    infinitude (a nonzero lattice vector, a nonempty word, an infinite
-    factor orbit).  A walk that outgrows a finite bound means the kind's
-    rule is wrong: InvariantBroken."""
+def _closure_walk(X: FinSet, walk):
+    """The closure rule: walk(X, bound), or None when the kind's
+    gen_size_bound certifies infinitude (a nonzero lattice vector, a
+    nonempty word, an infinite factor orbit).  A walk that outgrows a
+    finite bound means the kind's rule is wrong: InvariantBroken.  When
+    the rule walks, <X> is finite, so each unit u of X has a finite order
+    k and its inverse, u or (k - 1)u, lies in <X>: adjoining the inverses
+    of X's units (generated_sym) walks the same closure."""
     bound = X.ambient.gen_size_bound(X.elements)
     if bound == INF:
         return None
-    walked = [walk(X, bound) for walk in walks]
-    if not all(res.complete for res in walked):
+    res = walk(X, bound)
+    if not res.complete:
         raise InvariantBroken(f"closure outgrew its bound {bound}")
-    return walked
+    return res
 
 
 def center(X: FinSet, candidates: FinSet = None) -> FinSet:

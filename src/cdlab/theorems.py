@@ -30,7 +30,7 @@ from .gamma import _gamma, gamma_set, gamma_tuple, normalize_pair
 from .setops import (
     MEMO_SIZE,
     FinSet,
-    _closures,
+    _closure_walk,
     _elements,
     _raw_column,
     _raw_of,
@@ -39,7 +39,7 @@ from .setops import (
     _same_ambient,
     difference,
     generated,
-    generated_sym,
+    generated_sym,  # unread: bench/tracer.py patches this binding by name
     intersection,
     is_commutative_generated,
     is_subset,
@@ -76,12 +76,12 @@ def _require(cond: bool, why: str):
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def _closure_pair(a, raw):
-    """(closure, closure with unit inverses adjoined) of the set with raw
-    set `raw` over `a`, or None when it is provably infinite; both follow
-    the closure rule of setops._closures."""
-    walked = _closures(FinSet._of(a, raw), generated, generated_sym)
-    return None if walked is None else tuple(res.closure for res in walked)
+def _closure(a, raw):
+    """The closure <S> = <<S>> of the set S with raw set `raw` over `a`,
+    or None when it is provably infinite; it follows the closure rule of
+    setops._closure_walk."""
+    walked = _closure_walk(FinSet._of(a, raw), generated)
+    return None if walked is None else walked.closure
 
 
 def _structure(a, xy, ys):
@@ -271,11 +271,12 @@ def _theorem_rhs(Y: FinSet):
     return gam, int(min(gam, len(Y.elements) - 1))
 
 
-def slab_theorem_main(heads, Y: FinSet):
+def slab_theorem_main(heads, tail):
     """Slab entry of check_theorem_main: the heads X (carrier masks, in
-    order) where both branches fail against Y.  Branch (i) reads |X + Y|
-    off the column; a head failing it takes the structure test on its
-    column entry, against the units of Y."""
+    order) where both branches fail against the tail (Y,).  Branch (i)
+    reads |X + Y| off the column; a head failing it takes the structure
+    test on its column entry, against the units of Y."""
+    (Y,) = tail
     _, d = _theorem_rhs(Y)
     a, ys = Y.ambient, Y.elements
     units = units_of(Y).elements
@@ -343,19 +344,17 @@ def check_prop_equiv(X: FinSet, Y: FinSet) -> EquivalenceVerdict:
 
 
 def _third_condition(a, rx, xy, ry, yb) -> bool:
-    """X + <<Y - yb>> = X + <Y - yb> = X + Y - yb, from the raw sets
-    rx of X, xy of X + Y and ry of Y."""
+    """X + <Y - yb> = X + Y - yb, from the raw sets rx of X, xy of X + Y
+    and ry of Y; <<Y - yb>> is <Y - yb> when that is finite."""
     if not rx:
         return True  # every side is empty
     neg = a.invert(yb)
-    closures = _closure_pair(a, _raw_sumset(a, ry, (neg,)))
-    if closures is None:
+    closure = _closure(a, _raw_sumset(a, ry, (neg,)))
+    if closure is None:
         # <Y - yb> is provably infinite, so X + <Y - yb> cannot equal the
         # finite right side
         return False
-    plain, sym = closures
-    target = _raw_sumset(a, xy, (neg,))
-    return _raw_sumset(a, rx, sym.elements) == _raw_sumset(a, rx, plain.elements) == target
+    return _raw_sumset(a, rx, closure.elements) == _raw_sumset(a, xy, (neg,))
 
 
 # -- corollary checkers --------------------------------------------------------
@@ -405,9 +404,10 @@ def _udt_rhs(Y: FinSet, sizes):
     return gam, [min(gam, k + d) for k in sizes]
 
 
-def slab_cor_udt(heads, Y: FinSet):
+def slab_cor_udt(heads, tail):
     """Slab entry of check_cor_udt: the heads X (carrier masks, in order)
-    that fail the bound against Y or that the checker skips (the empty X)."""
+    that fail the bound against the tail (Y,) or that it skips (empty X)."""
+    (Y,) = tail
     a = Y.ambient
     # need[k] is the right side for |X| = k; nothing meets need[0]
     _, need = _udt_rhs(Y, range(a.carrier_size + 1))
@@ -440,14 +440,13 @@ def check_cor_hs(X: FinSet, Y: FinSet) -> BoundReport:
 
     if not X.elements:
         return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)
-    closures = _closure_pair(a, Y.raw)
-    if closures is None:
+    closure = _closure(a, Y.raw)  # <<Y>>, which is <Y> when finite
+    if closure is None:
         hypothesis_met = True
         detail["closure"] = "infinite"
     else:
-        sym = closures[1]
-        hypothesis_met = lhs_raw != _raw_sumset(a, rx, sym.elements)
-        detail["closure_size"] = len(sym)
+        hypothesis_met = lhs_raw != _raw_sumset(a, rx, closure.elements)
+        detail["closure_size"] = len(closure)
     if not hypothesis_met:
         return BoundReport(None, lhs, rhs, "hypothesis_not_met", detail)
     return BoundReport(lhs >= rhs, lhs, rhs, "checked", detail)
@@ -469,14 +468,15 @@ def _hs_rhs(Y: FinSet):
     return y0set, gam0, int(min(gam0, len(Y.elements) - (ident in Y.elements)))
 
 
-def slab_cor_hs(heads, Y: FinSet):
+def slab_cor_hs(heads, tail):
     """Slab entry of check_cor_hs: the heads X (carrier masks, in order)
-    that meet the hypothesis and fail the bound against Y.  The closure of
-    Y over a finite ambient is finite and always settles."""
+    that meet the hypothesis and fail the bound against the tail (Y,).
+    The closure of Y over a finite ambient settles, and <<Y>> = <Y>."""
+    (Y,) = tail
     a = Y.ambient
     y0set, _, d = _hs_rhs(Y)
     lhs_col = _raw_column(a, y0set.elements)  # X u (X + Y) = X + (Y u {0})
-    hyp_col = _raw_column(a, _closure_pair(a, Y.raw)[1].elements)  # X + <<Y>>
+    hyp_col = _raw_column(a, _closure(a, Y.raw).elements)  # X + <<Y>>
     return [
         m
         for m in heads

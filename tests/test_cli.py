@@ -223,6 +223,8 @@ def _spec(**fields):
         ("check", "--which", "udt", "--ambient", Z6, "--x", "[0,1]", "--y", "[0,2]",
          "--sets", ""),
         ("gamma", "--ambient", Z6, "--x", "[0,2]", "--out", ""),
+        ("sumset", "--ambient", Z6, "--x", "[0]", "--y", "[1]", "--n", "5"),
+        ("sumset", "--ambient", Z6, "--x", "[0]", "--y", "[1]", "--n", "1"),
     ],
 )
 def test_malformed_field_types_exit_2(capsys, argv):

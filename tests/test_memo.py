@@ -70,14 +70,14 @@ def test_every_memo_is_bounded():
         ("cdlab.gamma", "_gamma"),
         ("cdlab.gamma", "_order_levels"),
         ("cdlab.gamma", "_elem_ord"),
-        ("cdlab.theorems", "_closure_pair"),
+        ("cdlab.theorems", "_closure"),
         ("cdlab.search", "_context"),
         ("cdlab.search", "_decode"),
     }
     for memo in memos.values():
         assert memo.cache_info().maxsize is not None
     assert gamma._gamma.cache_info().maxsize == MEMO_SIZE
-    assert theorems._closure_pair.cache_info().maxsize == MEMO_SIZE
+    assert theorems._closure.cache_info().maxsize == MEMO_SIZE
     assert search._context.cache_info().maxsize == 1
 
 
@@ -92,9 +92,9 @@ def test_cached_gamma_agrees_with_uncached(seed):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_cached_closures_agree_with_uncached(seed):
     for S in _seeded_sets(f"closure:{seed}"):
-        want = theorems._closure_pair.__wrapped__(S.ambient, S.raw)
-        assert theorems._closure_pair(S.ambient, S.raw) == want
-        assert theorems._closure_pair(S.ambient, S.raw) == want  # now a hit
+        want = theorems._closure.__wrapped__(S.ambient, S.raw)
+        assert theorems._closure(S.ambient, S.raw) == want
+        assert theorems._closure(S.ambient, S.raw) == want  # now a hit
 
 
 def test_gamma_column_is_gamma_of_each_mask():

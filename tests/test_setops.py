@@ -163,12 +163,12 @@ def test_ord_examples():
 
     with pytest.raises(InvariantBroken):
         ord_elem(Unruled(1), (1,))
-    # the closure pair behind prop13 and hs follows the same rule; Unruled(1)
+    # the closure behind prop13 and hs follows the same rule; Unruled(1)
     # equals int_lattice of dimension 1, so first drop what that left there
     lat = Unruled(1)
-    theorems._closure_pair.cache_clear()
+    theorems._closure.cache_clear()
     with pytest.raises(InvariantBroken):
-        theorems._closure_pair(lat, frozenset({(1,)}))
+        theorems._closure(lat, frozenset({(1,)}))
     with pytest.raises(InvariantBroken):
         theorems.check_cor_hs(FinSet(lat, [(0,)]), FinSet(lat, [(1,)]))
     assert ord_set(FinSet(Z6, [2])) == 3
@@ -185,6 +185,53 @@ def test_ord_examples():
     assert ord_elem(mixed, ((0,), 1)) == 3 == oracles.formula_ord(mixed, ((0,), 1))
     assert ord_set(FinSet(mixed, [])) == 0
     assert mixed.gen_size_bound([]) == 0
+
+
+def _cayley(table):
+    return make_ambient({"kind": "cayley", "table": table})
+
+
+UNIT_INVERSE_AMBIENTS = [make_ambient({"kind": "zmod", "n": n}) for n in range(1, 9)] + [
+    S3,
+    fixtures.d4(),
+    fixtures.q8(),
+    fixtures.left_zero_band(3),
+    make_ambient(
+        {"kind": "product", "factors": [{"kind": "zmod", "n": 2}, {"kind": "zmod", "n": 4}]}
+    ),
+    _cayley([[i * j % 4 for j in range(4)] for i in range(4)]),
+    _cayley([[i * j % 6 for j in range(6)] for i in range(6)]),
+    _cayley([[i | j for j in range(4)] for i in range(4)]),  # a semilattice
+]
+
+
+@pytest.mark.parametrize(
+    "a", UNIT_INVERSE_AMBIENTS, ids=lambda a: f"{a.kind}{a.carrier_size}"
+)
+def test_finite_closure_holds_the_inverses_of_its_units(a):
+    # the one closure walk of prop13 and hs rests on <<X>> = <X> wherever
+    # the closure rule walks: a unit u of finite order k has -u = (k - 1)u
+    for m in range(1 << a.carrier_size):
+        X = FinSet.from_mask(a, m)
+        plain = setops._closure_walk(X, generated)
+        assert plain.closure == setops._closure_walk(X, generated_sym).closure, m
+
+
+def test_bounded_infinite_closures_hold_the_inverses_of_their_units():
+    lat = make_ambient({"kind": "int_lattice", "dim": 1})
+    mixed = make_ambient(
+        {"kind": "product", "factors": [{"kind": "int_lattice", "dim": 1}, {"kind": "zmod", "n": 3}]}
+    )
+    bounded = [FinSet(lat, [(0,)]), FinSet(FM, [""])]
+    for m in range(1, 8):
+        bounded.append(FinSet(mixed, [((0,), k) for k in range(3) if m >> k & 1]))
+    for X in bounded:
+        plain = setops._closure_walk(X, generated)
+        assert plain is not None
+        assert plain.closure == setops._closure_walk(X, generated_sym).closure, X
+    for X in (FinSet(lat, [(0,), (1,)]), FinSet(mixed, [((0,), 1), ((-1,), 0)])):
+        assert setops._closure_walk(X, generated) is None
+        assert setops._closure_walk(X, generated_sym) is None
 
 
 def test_ord_matches_formula():
