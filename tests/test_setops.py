@@ -201,6 +201,7 @@ UNIT_INVERSE_AMBIENTS = [make_ambient({"kind": "zmod", "n": n}) for n in range(1
     ),
     _cayley([[i * j % 4 for j in range(4)] for i in range(4)]),
     _cayley([[i * j % 6 for j in range(6)] for i in range(6)]),
+    _cayley([[i * j % 7 for j in range(7)] for i in range(7)]),  # units of order 3, 6
     _cayley([[i | j for j in range(4)] for i in range(4)]),  # a semilattice
 ]
 
