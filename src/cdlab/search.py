@@ -17,14 +17,17 @@ which go through the per-instance runner like every head of the other
 checkers.  When the tail fails the checker's hypotheses the entry raises
 PreconditionViolated and every head of the slab goes to the runner.
 
-Over an abelian group, translating each tail set by an element of its own
-changes none of what a translation invariant checker reads (sizes, |X + Y|,
-gamma, the structure identity), so the heads its slab entry hands back
-depend only on the translation class of each tail set.  The context keeps
-them per class, keyed on the least translate of each tail mask, for the
-ambient being walked; the runner still runs each of them against the
-actual tail.  A set is decoded only where a slab entry, a runner or a
-filter reads it.
+Over an abelian group, translating a set by any element changes none of
+what a translation invariant checker's slab entry reads (sizes, |X + Y|,
+gamma, the structure identity), so the heads it hands back form whole
+translation classes of heads and depend only on the translation class of
+each tail set.  For the ambient being walked the context keeps one class
+table, the least translate and the class of every carrier mask: the entry
+runs once per class of tails, on one head per class of admitted heads,
+and the heads it hands back are expanded to their classes and kept for
+that class of tails.  The runner still runs each of them against the
+actual tail, so counts and violations are exact.  A set is decoded only
+where a slab entry, a runner or a filter reads it.
 
 Violations embed the full ambient description and set encodings, so
 `replay` can re-run the named checker on the exact instance with no other
@@ -47,7 +50,13 @@ from .errors import (
     PreconditionViolated,
     SpecInvalid,
 )
-from .setops import MEMO_SIZE, FinSet, _least_translate, _mask_form, is_commutative_generated
+from .setops import (
+    MEMO_SIZE,
+    FinSet,
+    _mask_form,
+    _translation_classes,
+    is_commutative_generated,
+)
 from . import theorems
 
 DEFAULT_CEILING = 1 << 30
@@ -73,11 +82,13 @@ class Checker:
 
     A translation invariant checker gives the same `holds` on (X + y0,
     -y0 + Y) as on (X, Y) for a unit y0 of Y, which justifies pinning the
-    identity into the last slot during exhaustive runs; over an abelian
+    identity into the last slot during exhaustive runs.  Over an abelian
     group it also gives the same `holds` when each set is translated by
     an element of its own, and its slab entry hands back the same heads
-    for every translate of the tail, so the search reuses them across a
-    translation class of tails.
+    for every translate of the tail and a union of translation classes of
+    heads (given every head of those classes).  So the search runs the
+    entry once per class of tails, on one head per class, and expands the
+    heads it hands back to their classes.
 
     A slab entry vouches for heads in bulk.  Given the masks of the heads
     of one exhaustive slab that the subset filter admits (slot 0, in order)
@@ -365,15 +376,22 @@ class _Context:
         else:
             self.total = spec.mode["trials"]
         self._heads = {}
-        self._classes = (None, {})
+        self._classes = (None, None)
 
-    def classes(self, ai: int) -> dict:
-        """The class memo of ambient ai: the least translate of each tail
-        mask -> the heads the slab entry hands back for that class, over
-        all of heads(ai).  It is emptied when the walk moves to another
-        ambient, so it never holds more than one ambient's classes."""
+    def classes(self, ai: int) -> tuple:
+        """The translation classes of ambient ai, as (cls, members, reps,
+        memo): cls[m] is the least translate of carrier mask m and
+        members[m] its class in ascending order (see
+        setops._translation_classes), reps lists the admitted heads that
+        are the least of their class, and memo maps the least translates of
+        a tail's masks to the admitted heads the slab entry hands back for
+        that class of tails.  Built on first use and replaced when the walk
+        moves to another ambient, so it never holds more than one
+        ambient's table."""
         if self._classes[0] != ai:
-            self._classes = (ai, {})
+            cls, members = _translation_classes(self.ambients[ai])
+            reps = [m for m in self.heads(ai) if cls[m] == m]
+            self._classes = (ai, (cls, members, reps, {}))
         return self._classes[1]
 
     def heads(self, ai: int) -> list:
@@ -457,8 +475,8 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
     every admitted head.  Heads the filter rejects are skipped, heads the
     checker's slab entry vouches for are checked, and only the heads left
     over go through _sweep.  Over an abelian group a translation invariant
-    entry runs once per translation class of tails.  The tail is decoded
-    only where the entry or the runner reads it."""
+    entry runs once per translation class of tails, on one head per class.
+    The tail is decoded only where the entry or the runner reads it."""
     chk = ctx.checker
     for ai, first, end in segments:
         a = ctx.ambients[ai]
@@ -467,7 +485,7 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
         trailing = [(space.masks(s), space.bases[s]) for s in range(1, len(space.bases))]
         # a slab entry builds its column over the tail: one summand has none
         slab_entry = chk.slab if trailing and _mask_form(a) else None
-        classes = None
+        memo = None
         if (
             slab_entry is not None
             and chk.translation_invariant
@@ -475,7 +493,7 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
             and a.axioms.has_identity
             and a.all_units
         ):
-            classes = ctx.classes(ai)
+            cls, members, reps, memo = ctx.classes(ai)
         width = space.bases[0]
         for slab in range(first, end):
             tail = []
@@ -487,12 +505,17 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
                 tally["skipped"] += width
                 continue
             tally["skipped"] += width - len(heads)
-            if classes is not None:
-                key = tuple([_least_translate(a, m) for m in tail])
-                pending = classes.get(key)
+            if memo is not None:
+                key = tuple([cls[m] for m in tail])
+                pending = memo.get(key)
                 if pending is None:
+                    # the filter admits whole classes of heads and the entry
+                    # hands back whole classes, so each representative it
+                    # hands back stands for its class; on a failed
+                    # hypothesis that is every admitted head
                     sets = [_decode(a, m) for m in tail]
-                    pending = classes[key] = _vouch(slab_entry, heads, sets)
+                    pending = _vouch(slab_entry, reps, sets)
+                    pending = memo[key] = sorted([m for r in pending for m in members[r]])
             elif slab_entry is not None:
                 pending = _vouch(slab_entry, heads, [_decode(a, m) for m in tail])
             else:
@@ -623,7 +646,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
         results = [_run_item(p) for p in payloads]
     else:
         mp = multiprocessing.get_context("fork")
-        with mp.Pool(spec.workers) as pool:
+        with mp.Pool(min(spec.workers, len(payloads))) as pool:
             results = pool.map(_run_item, payloads)
     violations = []
     checked = skipped = 0

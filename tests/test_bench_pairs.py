@@ -1,0 +1,62 @@
+"""The summary step of tools/bench_pairs.py, on a synthetic JSON-lines
+file of alternated runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+METRICS = [
+    {"name": "inst_per_s", "better": "higher", "bound": 0.15},
+    {"name": "setup_s", "better": "lower", "bound": 0.25},
+]
+
+
+def _run(side, pair, rate, setup, correct=True):
+    return {
+        "workload": "w", "seed": 1, "trace": 0, "size": "full",
+        "side": side, "pair": pair, "correct": correct,
+        "attempted": 10, "failed": 0 if correct else 1,
+        "metrics": {"inst_per_s": {"value": rate, "unit": "inst/s"},
+                    "setup_s": {"value": setup, "unit": "s"}},
+    }
+
+
+def test_summary_reads_medians_quartiles_and_wins(tmp_path):
+    parent = [100, 104, 96, 102, 98]
+    change = [150, 99, 160, 155, 158]
+    setups = [(0.02, 0.03), (0.02, 0.01), (0.02, 0.02), (0.02, 0.01), (0.02, 0.01)]
+    path = tmp_path / "runs.jsonl"
+    with open(path, "w") as fh:
+        for pair, (p, c, (sp, sc)) in enumerate(zip(parent, change, setups), 1):
+            # the change runs first in even pairs
+            order = [("parent", p, sp), ("change", c, sc)]
+            for side, rate, setup in order if pair % 2 else order[::-1]:
+                fh.write(json.dumps(_run(side, pair, rate, setup, correct=pair != 3 or side == "change")) + "\n")
+    doc = bench_pairs.summarize(bench_pairs.load_runs(path), METRICS)
+    assert doc["all_runs_correct"] == {"parent": False, "change": True}
+    rate = doc["end_to_end"]["w"]["inst_per_s"]
+    assert rate["runs"] == {"parent": parent, "change": change}
+    assert rate["parent"]["median"] == 100 and rate["change"]["median"] == 155
+    # exclusive quartiles of 96, 98, 100, 102, 104
+    assert (rate["parent"]["q1"], rate["parent"]["q3"]) == (97, 103)
+    assert rate["parent"]["iqr_over_median"] == 0.06
+    assert rate["pairs"] == 5 and rate["change_better_pairs"] == 4
+    assert rate["change_over_parent"] == 1.55 and rate["bound"] == 0.15
+    assert rate["gap_beyond_parent_iqr"] is True
+    # lower is better: the change won the three pairs where it was faster
+    setup = doc["end_to_end"]["w"]["setup_s"]
+    assert setup["change_better_pairs"] == 3 and setup["better"] == "lower"
+    assert setup["gap_beyond_parent_iqr"] is True  # 0.01 below an IQR of 0
+
+
+def test_summary_skips_a_pair_missing_one_side(tmp_path):
+    runs = [_run("parent", 1, 10, 0.1), _run("change", 1, 12, 0.1), _run("parent", 2, 11, 0.1)]
+    doc = bench_pairs.summarize(runs, METRICS)
+    rate = doc["end_to_end"]["w"]["inst_per_s"]
+    assert rate["pairs"] == 1 and rate["runs"] == {"parent": [10, 11], "change": [12, None]}
+    assert rate["parent"]["median"] == 10 and rate["change_better_pairs"] == 1

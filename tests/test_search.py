@@ -200,6 +200,43 @@ def test_determinism_across_runs_and_workers():
     assert again == stable[0]
 
 
+def test_pool_starts_no_more_workers_than_items(monkeypatch, fresh_context):
+    # a fake fork context records each pool's process count and maps
+    # inline, so no process starts; the report still records spec.workers
+    sizes = []
+
+    class Pool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, payloads):
+            return [fn(p) for p in payloads]
+
+    class Fork:
+        pass
+
+    Fork.Pool = Pool
+    monkeypatch.setattr(search_mod.multiprocessing, "get_context", lambda method: Fork)
+    for doc in (
+        # two exhaustive items, and two random ones
+        dict(family={"kind": "zmod_range", "lo": 2, "hi": 8}, checker="theorem",
+             subset_filter=_NONEMPTY),
+        dict(family={"kind": "zmod_range", "lo": 2, "hi": 6}, checker="udt",
+             mode={"kind": "random", "seed": 3, "trials": 5000}),
+    ):
+        sizes.clear()
+        reports = {w: run_search(SearchSpec(**doc, workers=w)) for w in (1, 2, 8)}
+        assert sizes == [2, 2], doc
+        assert [reports[w].stable_json()["workers"] for w in (1, 2, 8)] == [1, 2, 8]
+        assert _stable(reports[8]) == _stable(reports[2]) == _stable(reports[1])
+
+
 def test_random_mode_deterministic_and_filtered():
     base = dict(
         family={"kind": "abelian_up_to_order", "max_order": 8},
@@ -665,15 +702,22 @@ _MEMO_SPECS = [
 
 
 def _memo_off(monkeypatch):
-    """Key the class memo on each tail mask itself: every tail is its own
-    class."""
-    monkeypatch.setattr(search_mod, "_least_translate", lambda a, m: m)
+    """Give the search the identity class table: every mask is its own
+    class, so the memo is keyed on each tail mask itself and the entry
+    runs on every head."""
+
+    def identity_table(a):
+        size = 1 << a.carrier_size
+        return list(range(size)), [[m] for m in range(size)]
+
+    monkeypatch.setattr(search_mod, "_translation_classes", identity_table)
     search_mod._context.cache_clear()
 
 
 def test_class_memo_matches_the_memo_off_and_brute_force(monkeypatch):
     # gamma at inf makes violations common, so a class given another
-    # class's heads changes the report; at chunk 37 an item holds a few slabs
+    # class's heads, or a pending head expanded to too few or too many
+    # translates, changes the report; at chunk 37 an item holds a few slabs
     specs = [SearchSpec(**s) for s in _MEMO_SPECS]
     for chunk, gamma_inf in ((search_mod._CHUNK_EXHAUSTIVE, False), (37, True)):
         with monkeypatch.context() as mp:
@@ -697,28 +741,34 @@ def _translate(X, g):
     return FinSet(a, [a.add(x, g) for x in X])
 
 
+def _class_of(X):
+    """The masks of every translate of X, from the elements."""
+    return frozenset(_translate(X, g).raw for g in X.ambient.carrier())
+
+
 def _classes(a, admits):
     """The number of translation classes of the admitted subsets of a,
     from the elements."""
     found = set()
     for m in range(1 << a.carrier_size):
         if admits(m):
-            X = FinSet.from_mask(a, m)
-            found.add(frozenset(_translate(X, g).raw for g in a.carrier()))
+            found.add(_class_of(FinSet.from_mask(a, m)))
     return len(found)
 
 
 def _entry_calls(monkeypatch, spec):
     """The ambient of each call of the checker's slab entry in spec's
-    search, with how many classes the memo held at that call."""
+    search, with how many classes the memo held at that call and the
+    heads the entry was given."""
     name = resolve_checker(spec.checker)
     chk = search_mod.CHECKERS[name]
     key = json.dumps(spec.to_json(), sort_keys=True)
     calls = []
 
     def slab(heads, tail):
-        _, memo = search_mod._context(key)._classes
-        calls.append((tail[0].ambient, len(memo)))
+        _, classes = search_mod._context(key)._classes
+        held = 0 if classes is None else len(classes[3])
+        calls.append((tail[0].ambient, held, list(heads)))
         return chk.slab(heads, tail)
 
     monkeypatch.setitem(search_mod.CHECKERS, name, dataclasses.replace(chk, slab=slab))
@@ -741,7 +791,7 @@ def test_class_memo_serves_only_abelian_groups_and_invariant_checkers(monkeypatc
         spec = SearchSpec(family=family, checker=checker, subset_filter=flt)
         calls = _entry_calls(monkeypatch, spec)
         tails = sum((1 << a.carrier_size) - bool(flt) for a in family_ambients(family))
-        assert len(calls) == tails and all(held == 0 for _, held in calls), family
+        assert len(calls) == tails and all(held == 0 for _, held, _ in calls), family
     # memo: one entry call per class of admitted tails, across the item
     # boundary inside Z8, and never more classes held than the ambient has
     for family, flt in (
@@ -754,9 +804,36 @@ def test_class_memo_serves_only_abelian_groups_and_invariant_checkers(monkeypatc
         cap = flt.get("max_size", 1 << 9)
         for a in family_ambients(family):
             n_classes = _classes(a, lambda m: m.bit_count() <= cap and (m or not flt.get("nonempty")))
-            held = [h for b, h in calls if b == a]
+            held = [h for b, h, _ in calls if b == a]
             assert len(held) == n_classes, (family, a)
             assert held == list(range(n_classes)), (family, a)
+
+
+def test_class_memo_runs_the_entry_on_one_head_per_class(monkeypatch):
+    # the entry is given exactly one admitted head per class of admitted
+    # heads, the least of each, in order, for every class of tails
+    for family in (
+        {"kind": "zmod_range", "lo": 1, "hi": 8},
+        {"kind": "explicit", "ambients": [_Z2Z4, _Z2_3, _Z3Z3]},
+    ):
+        for checker, flt in (("udt", _NONEMPTY), ("theorem", {"max_size": 3}),
+                             ("udt", {"nonempty": True, "max_size": 2})):
+            spec = SearchSpec(family=family, checker=checker, subset_filter=flt)
+            calls = _entry_calls(monkeypatch, spec)
+            cap = flt.get("max_size", 1 << 9)
+
+            def admits(m):
+                return m.bit_count() <= cap and (m or not flt.get("nonempty"))
+
+            for a in family_ambients(family):
+                given = [heads for b, _, heads in calls if b == a]
+                assert given, (family, checker, a)
+                heads = given[0]
+                assert all(h == heads for h in given), (family, checker, a)
+                assert heads == sorted(heads) and all(admits(m) for m in heads)
+                classes = [_class_of(FinSet.from_mask(a, m)) for m in heads]
+                assert [min(c) for c in classes] == heads, (family, checker, a)
+                assert len(set(classes)) == len(heads) == _classes(a, admits), (family, a)
 
 
 def test_class_memo_agrees_across_workers(monkeypatch):
@@ -890,7 +967,13 @@ def test_translation_invariant_checkers_ignore_translates(data):
         assert _outcome(_holds, chk, moved) == _outcome(_holds, chk, sets), name
         if chk.slab is not None:
             heads = list(range(1 << n))
-            assert _outcome(chk.slab, heads, moved[1:]) == _outcome(chk.slab, heads, sets[1:]), name
+            got = _outcome(chk.slab, heads, moved[1:])
+            assert got == _outcome(chk.slab, heads, sets[1:]), name
+            # the heads handed back are whole translation classes
+            if got != "skipped":
+                handed = set(got)
+                for m in handed:
+                    assert _class_of(FinSet.from_mask(a, m)) <= handed, (name, m)
 
 
 def _counted_decodes(monkeypatch):
@@ -921,8 +1004,9 @@ def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_con
     ctx = search_mod._context(json.dumps(spec.to_json(), sort_keys=True))
     assert all(type(d) is int for heads in ctx._heads.values() for d in heads)
 
-    # theorem: the tails plus the heads its slab entry hands back; it
-    # settles both branches, so over Z_n it hands back none
+    # theorem: the tails plus the heads its slab entry hands back, each
+    # standing for its translation class; it settles both branches, so
+    # over Z_n it hands back none
     from cdlab import theorems
 
     chk = search_mod.CHECKERS["theorem"]
@@ -930,7 +1014,8 @@ def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_con
 
     def slab(heads, tail):
         pending = chk.slab(heads, tail)
-        handed.update((tail[0].ambient, m) for m in pending)
+        a = tail[0].ambient
+        handed.update((a, t) for m in pending for t in _class_of(FinSet.from_mask(a, m)))
         return pending
 
     monkeypatch.setitem(search_mod.CHECKERS, "theorem", dataclasses.replace(chk, slab=slab))

@@ -552,16 +552,13 @@ def _product(*ns):
 def test_least_translate_names_the_translation_class(a):
     # brute force: the least mask of {x + g : x in X} over every g, built
     # from the elements; two masks share it exactly when one is a
-    # translate of the other
+    # translate of the other, and the class lists those translates
     carrier = a.carrier()
-    by_value = {}
-    translates = {}
+    cls, members = setops._translation_classes(a)
+    assert len(cls) == len(members) == 1 << len(carrier)
     for m in range(1 << len(carrier)):
         X = FinSet.from_mask(a, m)
         masks = {FinSet(a, [a.add(x, g) for x in X]).raw for g in carrier}
-        got = setops._least_translate(a, m)
-        assert got == min(masks), m
-        translates[m] = masks
-        by_value.setdefault(got, set()).add(m)
-    for m, masks in translates.items():
-        assert by_value[setops._least_translate(a, m)] == masks, m
+        assert cls[m] == min(masks), m
+        assert members[m] == sorted(masks), m
+        assert all(members[t] is members[m] for t in masks), m
