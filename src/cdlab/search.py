@@ -50,13 +50,7 @@ from .errors import (
     PreconditionViolated,
     SpecInvalid,
 )
-from .setops import (
-    MEMO_SIZE,
-    FinSet,
-    _mask_form,
-    _translation_classes,
-    is_commutative_generated,
-)
+from .setops import MEMO_SIZE, FinSet, _mask_form, _translation_classes, is_commutative_generated
 from . import theorems
 
 DEFAULT_CEILING = 1 << 30

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -218,11 +219,8 @@ def test_pool_starts_no_more_workers_than_items(monkeypatch, fresh_context):
         def map(self, fn, payloads):
             return [fn(p) for p in payloads]
 
-    class Fork:
-        pass
-
-    Fork.Pool = Pool
-    monkeypatch.setattr(search_mod.multiprocessing, "get_context", lambda method: Fork)
+    fork = types.SimpleNamespace(Pool=Pool)
+    monkeypatch.setattr(search_mod.multiprocessing, "get_context", lambda method: fork)
     for doc in (
         # two exhaustive items, and two random ones
         dict(family={"kind": "zmod_range", "lo": 2, "hi": 8}, checker="theorem",
