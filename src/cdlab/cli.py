@@ -3,9 +3,9 @@
 Every subcommand prints one complete JSON document on stdout (never a
 partial one); ``--format table`` renders the same document as aligned
 key/value rows instead.  Exit status is 0 for a successful computation or
-a satisfied property, 1 when a checker reports a violation or a Davenport
-transform fact fails, 2 for usage, parse or output-file problems, and 3
-when an identity the library guarantees fails (a bug in cdlab).
+a satisfied property, 1 when a checker reports a violation, 2 for usage,
+parse or output-file problems, and 3 when an identity the library
+guarantees fails (a bug in cdlab), such as a Davenport transform fact.
 Randomized searches require an explicit seed, which is echoed in the
 report.
 """
@@ -153,7 +153,13 @@ def _cmd_davenport(args):
     Y = _set_from(a, args.y, "--y")
     z = a.decode(_load_json_arg(args.z, "--z"))
     pair = davenport_transform(X, Y, z)
-    return (0 if pair.all_hold else 1), pair.to_json()
+    # davenport_transform requires every hypothesis under which the four
+    # facts are proved, so a failed fact is a bug
+    doc = pair.to_json()
+    failed = [f for f in ("within_sumset", "disjoint", "size_bound", "ledger") if not doc[f]]
+    if failed:
+        raise InvariantBroken(f"Davenport transform facts failed: {', '.join(failed)}")
+    return 0, doc
 
 
 def _cmd_check(args):

@@ -9,6 +9,11 @@ exactly no matter how many workers execute them: an exhaustive item is a
 run of whole slabs, a random one a run of trials, and random instances
 are derived from the seed and the trial index alone.
 
+Each run builds one search context from its spec: the one place the spec
+is validated and the ceiling checked, holding each ambient's slot masks
+and what the walk builds from them.  It is handed to the walk, and forked
+workers inherit it, so no state of one run reaches the next.
+
 An exhaustive item is walked slab by slab over carrier masks: a slab
 fixes the trailing sets and runs slot 0 over all of its admitted heads.
 A checker with a slab entry vouches for whole slabs at once from
@@ -34,7 +39,6 @@ Violations embed the full ambient description and set encodings, so
 state.
 """
 
-import json
 import math
 import multiprocessing
 import random
@@ -231,7 +235,12 @@ def _only_keys(doc: dict, what: str, *keys):
         raise SpecInvalid(f"unknown {what} keys: {sorted(unknown)}")
 
 
-def family_ambients(family: dict):
+def _family(family) -> tuple:
+    """Validate a family description and return (bound, build): the
+    largest carrier the family holds, read from hi or max_order before any
+    of its ambients exists, and the function that builds its ambients.  An
+    explicit family is built here, since its description lists each
+    ambient."""
     if not isinstance(family, dict) or "kind" not in family:
         raise SpecInvalid(f"malformed ambient family: {family!r}")
     kind = family["kind"]
@@ -239,136 +248,127 @@ def family_ambients(family: dict):
         _only_keys(family, "zmod_range family", "lo", "hi")
         lo = _int_field(family.get("lo"), "zmod_range lo", 1)
         hi = _int_field(family.get("hi"), "zmod_range hi", lo)
-        ambients = [ZMod(n) for n in range(lo, hi + 1)]
-    elif kind == "abelian_up_to_order":
+        return hi, lambda: [ZMod(n) for n in range(lo, hi + 1)]
+    if kind == "abelian_up_to_order":
         _only_keys(family, "abelian_up_to_order family", "max_order")
-        ambients = enumerate_abelian_groups(
-            _int_field(family.get("max_order"), "abelian_up_to_order max_order", 1)
-        )
-    elif kind == "explicit":
-        _only_keys(family, "explicit family", "ambients")
-        descs = family.get("ambients")
-        if not isinstance(descs, list) or not descs:
-            raise SpecInvalid("explicit family needs a nonempty ambient list")
-        try:
-            ambients = [make_ambient(d) for d in descs]
-        except CdlabError as exc:
-            raise SpecInvalid(f"bad ambient in family: {exc}") from exc
-    else:
+        top = _int_field(family.get("max_order"), "abelian_up_to_order max_order", 1)
+        return top, lambda: enumerate_abelian_groups(top)
+    if kind != "explicit":
         raise SpecInvalid(f"unknown family kind {kind!r}")
-    for a in ambients:
-        if a.carrier_size is None:
-            raise SpecInvalid("search families must have finite carriers")
-    return ambients
+    _only_keys(family, "explicit family", "ambients")
+    descs = family.get("ambients")
+    if not isinstance(descs, list) or not descs:
+        raise SpecInvalid("explicit family needs a nonempty ambient list")
+    try:
+        ambients = [make_ambient(d) for d in descs]
+    except CdlabError as exc:
+        raise SpecInvalid(f"bad ambient in family: {exc}") from exc
+    if any(a.carrier_size is None for a in ambients):
+        raise SpecInvalid("search families must have finite carriers")
+    return max(a.carrier_size for a in ambients), lambda: ambients
+
+
+def family_ambients(family: dict):
+    """Validate a family description and build its ambients, in order."""
+    return _family(family)[1]()
 
 
 _FILTER_KEYS = {"nonempty", "contains_identity", "commutative_generated", "max_size"}
 _FILTER_FLAGS = _FILTER_KEYS - {"max_size"}
 
 
-def _validate_spec(spec: SearchSpec):
-    name = resolve_checker(spec.checker)
-    chk = CHECKERS[name]
-    _int_field(spec.n_summands, "n_summands", 1)
-    if chk.arity is not None and spec.n_summands != chk.arity:
-        raise SpecInvalid(
-            f"checker {name!r} takes {chk.arity} sets, spec asked for {spec.n_summands}"
-        )
-    filters = spec.subset_filter
-    if not isinstance(filters, dict) or set(filters) - _FILTER_KEYS:
-        raise SpecInvalid(f"subset_filter keys must be among {sorted(_FILTER_KEYS)}")
-    for key in _FILTER_FLAGS & set(filters):
-        if not isinstance(filters[key], bool):
-            raise SpecInvalid(f"subset_filter {key} must be true or false")
-    if filters.get("max_size") is not None:
-        _int_field(filters["max_size"], "subset_filter max_size", 0)
-    _int_field(spec.workers, "workers", 1)
-    _int_field(spec.ceiling, "ceiling", 1)
-    if not isinstance(spec.symmetry_reduction, bool):
-        raise SpecInvalid("symmetry_reduction must be true or false")
-    mode = spec.mode
-    if not isinstance(mode, dict) or mode.get("kind") not in ("exhaustive", "random"):
-        raise SpecInvalid("mode must be exhaustive or random")
-    if mode["kind"] == "random":
-        _only_keys(mode, "random mode", "seed", "trials")
-        _int_field(mode.get("seed"), "random mode seed")
-        _int_field(mode.get("trials"), "random mode trials", 1)
-    else:
-        _only_keys(mode, "exhaustive mode")
-    ambients = family_ambients(spec.family)
-    for a in ambients:
-        if chk.ambient_kind not in (None, a.kind):
-            raise SpecInvalid(
-                f"checker {name!r} runs over {chk.ambient_kind} ambients only, got {a.kind}"
-            )
-    if mode["kind"] == "random":
-        largest = max(a.carrier_size for a in ambients)
-        if largest > _MAX_DRAW_BITS:
-            raise SpecInvalid(
-                f"random mode draws sets over at most {_MAX_DRAW_BITS} elements, "
-                f"got a carrier of {largest}"
-            )
-    if spec.symmetry_reduction:
-        if not chk.translation_invariant:
-            raise SpecInvalid(f"checker {name!r} is not marked translation invariant")
-        for a in ambients:
-            if not (a.all_units and a.axioms.has_identity):
-                raise SpecInvalid("symmetry reduction needs group ambients")
-    return name, ambients
+def _over_ceiling(bits: int, ceiling: int) -> CeilingExceeded:
+    """The error for a space of at least 2^bits instances, above ceiling."""
+    return CeilingExceeded(f"at least 2**{bits} instances exceed the ceiling {ceiling}")
 
 
-# -- instance geometry -------------------------------------------------------------
-
-
-class _Space:
-    """The masks each slot of one ambient runs over, and their counts (the
-    digit bases of an instance index); slot 0 varies fastest.  With
-    symmetry reduction the last slot runs over the empty mask plus the
-    masks containing the identity."""
-
-    def __init__(self, ambient: Ambient, n_summands: int, reduced: bool):
-        n = ambient.carrier_size
-        self.full = range(1 << n)
-        self.bases = [1 << n] * n_summands
-        self.id_index = None
-        if reduced:
-            self.id_index = ambient.index_of(ambient.identity)
-            self.bases[-1] = (1 << (n - 1)) + 1
-        self.total = math.prod(self.bases)
-        self._reduced = None
-
-    def masks(self, slot: int):
-        """The masks of one slot, indexed by digit.  The reduced list is
-        built on first use and kept, so a spec over the ceiling fails
-        before any list of 2^n masks exists."""
-        i = self.id_index
-        if i is None or slot < len(self.bases) - 1:
-            return self.full
-        if self._reduced is None:
-            self._reduced = [0] + [m for m in self.full if m >> i & 1]
-        return self._reduced
+def _slots(ambient: Ambient, n_summands: int, reduced: bool) -> list:
+    """The masks each slot of one ambient runs over, indexed by digit;
+    slot 0 varies fastest.  With symmetry reduction the last slot runs over
+    the empty mask plus the masks containing the identity."""
+    full = range(1 << ambient.carrier_size)
+    slots = [full] * n_summands
+    if reduced:
+        i = ambient.index_of(ambient.identity)
+        slots[-1] = [0] + [m for m in full if m >> i & 1]
+    return slots
 
 
 # -- worker ------------------------------------------------------------------------
 
 
 class _Context:
+    """One search: its spec, validated, and what the walk reads of it.
+    run_search builds one per run and hands it to the walk, and forked
+    workers inherit it, so nothing of one run outlives it."""
+
     def __init__(self, spec: SearchSpec):
-        self.spec = spec
-        self.checker_name, self.ambients = _validate_spec(spec)
-        self.checker = CHECKERS[self.checker_name]
-        self.f_nonempty = spec.subset_filter.get("nonempty", False)
-        self.f_max_size = spec.subset_filter.get("max_size")
-        self.f_identity = spec.subset_filter.get("contains_identity", False)
-        self.f_commutative = spec.subset_filter.get("commutative_generated", False)
-        if spec.mode["kind"] == "exhaustive":
-            self.spaces = [
-                _Space(a, spec.n_summands, spec.symmetry_reduction)
-                for a in self.ambients
-            ]
-            self.total = sum(s.total for s in self.spaces)
+        name = resolve_checker(spec.checker)
+        chk = CHECKERS[name]
+        k = _int_field(spec.n_summands, "n_summands", 1)
+        if chk.arity is not None and k != chk.arity:
+            raise SpecInvalid(f"checker {name!r} takes {chk.arity} sets, spec asked for {k}")
+        filters = spec.subset_filter
+        if not isinstance(filters, dict) or set(filters) - _FILTER_KEYS:
+            raise SpecInvalid(f"subset_filter keys must be among {sorted(_FILTER_KEYS)}")
+        for key in _FILTER_FLAGS & set(filters):
+            if not isinstance(filters[key], bool):
+                raise SpecInvalid(f"subset_filter {key} must be true or false")
+        if filters.get("max_size") is not None:
+            _int_field(filters["max_size"], "subset_filter max_size", 0)
+        _int_field(spec.workers, "workers", 1)
+        _int_field(spec.ceiling, "ceiling", 1)
+        if not isinstance(spec.symmetry_reduction, bool):
+            raise SpecInvalid("symmetry_reduction must be true or false")
+        mode = spec.mode
+        if not isinstance(mode, dict) or mode.get("kind") not in ("exhaustive", "random"):
+            raise SpecInvalid("mode must be exhaustive or random")
+        exhaustive = mode["kind"] == "exhaustive"
+        if exhaustive:
+            _only_keys(mode, "exhaustive mode")
         else:
-            self.total = spec.mode["trials"]
+            _only_keys(mode, "random mode", "seed", "trials")
+            _int_field(mode.get("seed"), "random mode seed")
+            _int_field(mode.get("trials"), "random mode trials", 1)
+        bound, build = _family(spec.family)
+        if exhaustive:
+            # an ambient of n elements has more than 2^(n k - 1) instances
+            # over k slots, since a reduced slot keeps more than half of its
+            # masks; checked before any ambient is built, so that every mask
+            # list built after it holds at most `ceiling` masks
+            bits = bound * k - 1
+            if bits >= (spec.ceiling - 1).bit_length():
+                raise _over_ceiling(bits, spec.ceiling)
+        ambients = build()
+        for a in ambients:
+            if chk.ambient_kind not in (None, a.kind):
+                raise SpecInvalid(
+                    f"checker {name!r} runs over {chk.ambient_kind} ambients only, got {a.kind}"
+                )
+        if not exhaustive and bound > _MAX_DRAW_BITS:
+            raise SpecInvalid(
+                f"random mode draws sets over at most {_MAX_DRAW_BITS} elements, "
+                f"got a carrier of {bound}"
+            )
+        if spec.symmetry_reduction:
+            if not chk.translation_invariant:
+                raise SpecInvalid(f"checker {name!r} is not marked translation invariant")
+            for a in ambients:
+                if not (a.all_units and a.axioms.has_identity):
+                    raise SpecInvalid("symmetry reduction needs group ambients")
+        self.spec = spec
+        self.checker_name = name
+        self.checker = chk
+        self.ambients = ambients
+        self.f_nonempty = filters.get("nonempty", False)
+        self.f_max_size = filters.get("max_size")
+        self.f_identity = filters.get("contains_identity", False)
+        self.f_commutative = filters.get("commutative_generated", False)
+        if exhaustive:
+            self.slots = [_slots(a, k, spec.symmetry_reduction) for a in ambients]
+            total = sum(math.prod(map(len, slots)) for slots in self.slots)
+            if total > spec.ceiling:
+                raise _over_ceiling(total.bit_length() - 1, spec.ceiling)
         self._heads = {}
         self._classes = (None, None)
 
@@ -392,16 +392,8 @@ class _Context:
         """The masks of slot 0 that the subset filter admits, in order."""
         got = self._heads.get(ai)
         if got is None:
-            masks = self.spaces[ai].masks(0)
-            got = self._heads[ai] = [m for m in masks if _admits(self, ai, 0, m)]
+            got = self._heads[ai] = [m for m in self.slots[ai][0] if _admits(self, ai, 0, m)]
         return got
-
-
-@lru_cache(maxsize=1)
-def _context(spec_json: str) -> _Context:
-    """The context of the one search running; forked workers inherit the
-    one run_search built."""
-    return _Context(SearchSpec.from_json(json.loads(spec_json)))
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -474,9 +466,8 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
     chk = ctx.checker
     for ai, first, end in segments:
         a = ctx.ambients[ai]
-        space = ctx.spaces[ai]
         heads = ctx.heads(ai)
-        trailing = [(space.masks(s), space.bases[s]) for s in range(1, len(space.bases))]
+        trailing = [(masks, len(masks)) for masks in ctx.slots[ai][1:]]
         # a slab entry builds its column over the tail: one summand has none
         slab_entry = chk.slab if trailing and _mask_form(a) else None
         memo = None
@@ -488,7 +479,7 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
             and a.all_units
         ):
             cls, members, reps, memo = ctx.classes(ai)
-        width = space.bases[0]
+        width = len(ctx.slots[ai][0])
         for slab in range(first, end):
             tail = []
             rest = slab
@@ -544,15 +535,28 @@ def _run_random_range(ctx: _Context, start: int, end: int, tally: dict):
         _sweep(ctx, ai, sets[:1], sets[1:], tally)
 
 
-def _run_item(payload):
-    spec_json, item, work = payload
-    ctx = _context(spec_json)
+def _run_item(ctx: _Context, item: int, work):
     tally = {"item": item, "checked": 0, "skipped": 0, "violations": []}
     if ctx.spec.mode["kind"] == "exhaustive":
         _run_exhaustive_range(ctx, work, tally)
     else:
         _run_random_range(ctx, *work, tally)
     return tally
+
+
+# the context of the search a forked worker works for, set by the pool's
+# initializer in that worker only; run_search passes its context to an
+# in-process walk as an argument
+_worker_ctx = None
+
+
+def _start_worker(ctx: _Context):
+    global _worker_ctx
+    _worker_ctx = ctx
+
+
+def _run_worker_item(job):
+    return _run_item(_worker_ctx, *job)
 
 
 # -- driver -------------------------------------------------------------------------
@@ -587,14 +591,10 @@ class SearchReport:
         }
 
 
-def _over_ceiling(bits: int, ceiling: int) -> CeilingExceeded:
-    """The error for a space of at least 2^bits instances, above ceiling."""
-    return CeilingExceeded(f"at least 2**{bits} instances exceed the ceiling {ceiling}")
-
-
 def run_search(spec: SearchSpec) -> SearchReport:
-    """Partition the instance space into items, run them on the requested
-    number of workers, and merge the results in item order.
+    """Validate the spec into a fresh context, partition the instance
+    space into items, run them on the requested number of workers, and
+    merge the results in item order.
 
     A random item is a run of _CHUNK_RANDOM trials.  An exhaustive item is
     a run of whole slabs, possibly across ambients: it closes at the first
@@ -602,26 +602,14 @@ def run_search(spec: SearchSpec) -> SearchReport:
     only the last item may hold fewer.  A one-summand spec has one slab
     per ambient, so each of its ambients lands whole in one item."""
     started = time.monotonic()
-    _, ambients = _validate_spec(spec)
-    exhaustive = spec.mode["kind"] == "exhaustive"
-    if exhaustive:
-        # an ambient of n elements has more than 2^(n k - 1) instances over
-        # k slots, since a reduced slot keeps more than half of its masks;
-        # checked before any slot's 2^n masks are counted
-        bits = max(a.carrier_size for a in ambients) * spec.n_summands - 1
-        if bits >= spec.ceiling.bit_length():
-            raise _over_ceiling(bits, spec.ceiling)
-    spec_json = json.dumps(spec.to_json(), sort_keys=True)
-    ctx = _context(spec_json)
-    if exhaustive:
-        if ctx.total > spec.ceiling:
-            raise _over_ceiling(ctx.total.bit_length() - 1, spec.ceiling)
+    ctx = _Context(spec)
+    if spec.mode["kind"] == "exhaustive":
         # whole slabs in ambient order, as (ambient index, first slab, end
         # slab) segments, filled into an item until it reaches the chunk
         work, item, size = [], [], 0
-        for ai, space in enumerate(ctx.spaces):
-            width = space.bases[0]
-            slabs, first = space.total // width, 0
+        for ai, slots in enumerate(ctx.slots):
+            width = len(slots[0])
+            slabs, first = math.prod(map(len, slots[1:])), 0
             while first < slabs:
                 end = min(slabs, first + (_CHUNK_EXHAUSTIVE - size + width - 1) // width)
                 item.append((ai, first, end))
@@ -633,15 +621,15 @@ def run_search(spec: SearchSpec) -> SearchReport:
         if item:
             work.append(item)
     else:
-        starts = range(0, ctx.total, _CHUNK_RANDOM)
-        work = [(start, min(start + _CHUNK_RANDOM, ctx.total)) for start in starts]
-    payloads = [(spec_json, item, w) for item, w in enumerate(work)]
-    if spec.workers == 1 or len(payloads) <= 1:
-        results = [_run_item(p) for p in payloads]
+        trials = spec.mode["trials"]
+        starts = range(0, trials, _CHUNK_RANDOM)
+        work = [(start, min(start + _CHUNK_RANDOM, trials)) for start in starts]
+    if spec.workers == 1 or len(work) <= 1:
+        results = [_run_item(ctx, item, w) for item, w in enumerate(work)]
     else:
         mp = multiprocessing.get_context("fork")
-        with mp.Pool(min(spec.workers, len(payloads))) as pool:
-            results = pool.map(_run_item, payloads)
+        with mp.Pool(min(spec.workers, len(work)), _start_worker, (ctx,)) as pool:
+            results = pool.map(_run_worker_item, enumerate(work))
     violations = []
     checked = skipped = 0
     per_item = []

@@ -245,7 +245,26 @@ def test_broken_invariant_exits_3(capsys, monkeypatch):
     assert err.startswith("cdlab: internal error: ") and err.count("\n") == 1
 
 
-def test_zn_search_over_a_product_fails_before_any_work(capsys, monkeypatch, fresh_context):
+def test_failed_davenport_fact_exits_3(capsys, monkeypatch):
+    import dataclasses
+
+    from cdlab import cli
+
+    real = cli.davenport_transform
+
+    def transform(X, Y, z):
+        return dataclasses.replace(real(X, Y, z), ledger=False)
+
+    monkeypatch.setattr(cli, "davenport_transform", transform)
+    status, out, err = run_cli(
+        capsys, "davenport", "--ambient", '{"kind":"zmod","n":5}', "--x", "[0]", "--y", "[0,1]",
+        "--z", "2",
+    )
+    assert status == 3 and out == ""
+    assert err == "cdlab: internal error: Davenport transform facts failed: ledger\n"
+
+
+def test_zn_search_over_a_product_fails_before_any_work(capsys, monkeypatch):
     import dataclasses
 
     from cdlab import search as search_mod
@@ -272,7 +291,7 @@ def test_usage_error_exits_2(capsys):
     assert err.startswith("cdlab: ") and err.count("\n") == 1
 
 
-def test_violation_exits_1(capsys, monkeypatch, fresh_context):
+def test_violation_exits_1(capsys, monkeypatch):
     from cdlab import search as search_mod
     from cdlab.theorems import BoundReport
 

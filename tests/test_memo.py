@@ -8,7 +8,7 @@ import random
 import pytest
 
 import cdlab
-from cdlab import FinSet, SearchSpec, fixtures, gamma, make_ambient, run_search, search, setops, theorems
+from cdlab import FinSet, SearchSpec, fixtures, gamma, make_ambient, run_search, setops, theorems
 from cdlab.setops import MEMO_SIZE
 
 MODULES = [
@@ -59,7 +59,7 @@ def test_random_search_leaves_module_dicts_unchanged():
 
 def test_every_memo_is_bounded():
     # one cache policy: each memo is keyed on an ambient plus a raw set or
-    # one element (or on the ambient or spec text alone), never on a FinSet
+    # one element (or on the ambient alone), never on a FinSet
     memos = {
         (mod.__name__, name): value
         for mod in MODULES
@@ -71,14 +71,12 @@ def test_every_memo_is_bounded():
         ("cdlab.gamma", "_order_levels"),
         ("cdlab.gamma", "_elem_ord"),
         ("cdlab.theorems", "_closure"),
-        ("cdlab.search", "_context"),
         ("cdlab.search", "_decode"),
     }
     for memo in memos.values():
         assert memo.cache_info().maxsize is not None
     assert gamma._gamma.cache_info().maxsize == MEMO_SIZE
     assert theorems._closure.cache_info().maxsize == MEMO_SIZE
-    assert search._context.cache_info().maxsize == 1
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -1,9 +1,11 @@
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import random
 import types
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +21,7 @@ from cdlab import (
 from cdlab.errors import CeilingExceeded, MalformedInstance, PreconditionViolated, SpecInvalid
 from cdlab import fixtures
 from cdlab import search as search_mod
+from cdlab.ambient import ZMod
 from cdlab.search import family_ambients, resolve_checker
 from cdlab.setops import is_commutative_generated
 
@@ -152,6 +155,41 @@ def test_ceiling_is_checked_before_any_mask_range_exists():
             run_search(SearchSpec(**z4, ceiling=ceiling))
 
 
+def _counted_zmods(monkeypatch):
+    """The moduli of the ZMod ambients the search's families build from
+    now on."""
+    built = []
+
+    def zmod(n):
+        built.append(n)
+        return ZMod(n)
+
+    monkeypatch.setattr(search_mod, "ZMod", zmod)
+    return built
+
+
+def test_a_search_builds_its_family_once(monkeypatch):
+    built = _counted_zmods(monkeypatch)
+    for mode in ({"kind": "exhaustive"}, {"kind": "random", "seed": 1, "trials": 10}):
+        built.clear()
+        run_search(SearchSpec(family={"kind": "zmod_range", "lo": 1, "hi": 6}, checker="udt",
+                              mode=mode))
+        assert built == [1, 2, 3, 4, 5, 6], mode
+
+
+def test_a_huge_family_fails_the_ceiling_before_any_ambient_exists(monkeypatch):
+    # the bound of a ranged family, not its list of ambients, meets the
+    # ceiling, so the cost of failing does not grow with hi
+    built = _counted_zmods(monkeypatch)
+    for family in (
+        {"kind": "zmod_range", "lo": 1, "hi": 10**5},
+        {"kind": "abelian_up_to_order", "max_order": 10**5},
+    ):
+        with pytest.raises(CeilingExceeded, match=r"^at least 2\*\*199999 instances"):
+            run_search(SearchSpec(family=family, checker="udt"))
+    assert built == []
+
+
 def test_family_ambients():
     fam = family_ambients({"kind": "zmod_range", "lo": 2, "hi": 4})
     assert [a.carrier_size for a in fam] == [2, 3, 4]
@@ -201,14 +239,16 @@ def test_determinism_across_runs_and_workers():
     assert again == stable[0]
 
 
-def test_pool_starts_no_more_workers_than_items(monkeypatch, fresh_context):
-    # a fake fork context records each pool's process count and maps
-    # inline, so no process starts; the report still records spec.workers
+def test_pool_starts_no_more_workers_than_items(monkeypatch):
+    # a fake fork context records each pool's process count, runs its
+    # initializer and maps inline, so no process starts; the report still
+    # records spec.workers
     sizes = []
 
     class Pool:
-        def __init__(self, processes):
+        def __init__(self, processes, initializer, initargs):
             sizes.append(processes)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -220,6 +260,7 @@ def test_pool_starts_no_more_workers_than_items(monkeypatch, fresh_context):
             return [fn(p) for p in payloads]
 
     fork = types.SimpleNamespace(Pool=Pool)
+    monkeypatch.setattr(search_mod, "_worker_ctx", None)
     monkeypatch.setattr(search_mod.multiprocessing, "get_context", lambda method: fork)
     for doc in (
         # two exhaustive items, and two random ones
@@ -311,7 +352,7 @@ def test_replay_rejects_tampered_instances():
             replay(bad)
 
 
-def test_violation_instances_replay(monkeypatch, fresh_context):
+def test_violation_instances_replay(monkeypatch):
     # force a fake violation to exercise the encode/replay path end to end
     from cdlab import search as search_mod
     from cdlab.theorems import BoundReport
@@ -509,11 +550,9 @@ def _slab_reports(monkeypatch, spec):
         monkeypatch.setitem(
             search_mod.CHECKERS, name, dataclasses.replace(chk, run=run, slab=slab)
         )
-        search_mod._context.cache_clear()
         calls.clear()
         reports.append(run_search(spec))
     monkeypatch.setitem(search_mod.CHECKERS, name, chk)
-    search_mod._context.cache_clear()
     return reports, calls
 
 
@@ -553,7 +592,7 @@ def test_slab_edges_match_default_chunks_and_brute_force(monkeypatch):
     _slab_check(monkeypatch, [SearchSpec(**s) for s in _SLAB_SPECS])
 
 
-def test_slab_edges_keep_violation_order(monkeypatch, fresh_context):
+def test_slab_edges_keep_violation_order(monkeypatch):
     from cdlab.theorems import BoundReport
 
     real = search_mod.CHECKERS["udt"]
@@ -575,7 +614,7 @@ def test_slab_edges_keep_violation_order(monkeypatch, fresh_context):
     _slab_check(monkeypatch, [spec])
 
 
-def test_slab_path_keeps_violation_order(monkeypatch, fresh_context):
+def test_slab_path_keeps_violation_order(monkeypatch):
     # with no unit in Y, branch (ii) is out of reach for the slab entry and
     # the runner alike, so every pair failing branch (i) is a real
     # violation, and the slab hands exactly those heads to the runner
@@ -589,7 +628,7 @@ def test_slab_path_keeps_violation_order(monkeypatch, fresh_context):
     )
     (off, on), _ = _slab_reports(monkeypatch, spec)
     assert on.violations
-    assert json.dumps(on.violations) == json.dumps(off.violations)
+    assert on.violations == off.violations
     for v in on.violations:
         ok, verdict = replay(v)  # replays with the patched units_of
         assert ok is False
@@ -677,7 +716,7 @@ def test_slab_entries_vouch_only_where_the_runner_agrees(monkeypatch):
     for spec in specs[:2] + specs[5:9]:
         (off, on), _ = _slab_reports(monkeypatch, spec)
         assert on.violations
-        assert json.dumps(on.violations) == json.dumps(off.violations)
+        assert on.violations == off.violations
     _slab_check(monkeypatch, specs)
 
 
@@ -709,7 +748,6 @@ def _memo_off(monkeypatch):
         return list(range(size)), [[m] for m in range(size)]
 
     monkeypatch.setattr(search_mod, "_translation_classes", identity_table)
-    search_mod._context.cache_clear()
 
 
 def test_class_memo_matches_the_memo_off_and_brute_force(monkeypatch):
@@ -724,13 +762,10 @@ def test_class_memo_matches_the_memo_off_and_brute_force(monkeypatch):
                 _gamma_at_inf(mp)
             on = []
             for spec in specs:
-                search_mod._context.cache_clear()
                 on.append(_stable(run_search(spec)))
             _memo_off(mp)
             for spec, want in zip(specs, on):
-                search_mod._context.cache_clear()
                 assert _stable(run_search(spec)) == want, (chunk, gamma_inf, spec)
-        search_mod._context.cache_clear()
     _slab_check(monkeypatch, specs)
 
 
@@ -760,20 +795,25 @@ def _entry_calls(monkeypatch, spec):
     heads the entry was given."""
     name = resolve_checker(spec.checker)
     chk = search_mod.CHECKERS[name]
-    key = json.dumps(spec.to_json(), sort_keys=True)
     calls = []
+    contexts = []
+    run_item = search_mod._run_item
+
+    def run_ctx_item(ctx, item, work):
+        contexts.append(ctx)
+        return run_item(ctx, item, work)
 
     def slab(heads, tail):
-        _, classes = search_mod._context(key)._classes
+        _, classes = contexts[-1]._classes
         held = 0 if classes is None else len(classes[3])
         calls.append((tail[0].ambient, held, list(heads)))
         return chk.slab(heads, tail)
 
     monkeypatch.setitem(search_mod.CHECKERS, name, dataclasses.replace(chk, slab=slab))
-    search_mod._context.cache_clear()
+    monkeypatch.setattr(search_mod, "_run_item", run_ctx_item)
     run_search(spec)
     monkeypatch.setitem(search_mod.CHECKERS, name, chk)
-    search_mod._context.cache_clear()
+    monkeypatch.setattr(search_mod, "_run_item", run_item)
     return calls
 
 
@@ -843,14 +883,41 @@ def test_class_memo_agrees_across_workers(monkeypatch):
         checker="udt",
         subset_filter=_NONEMPTY,
     )
-    search_mod._context.cache_clear()
     one, two = (_stable(run_search(SearchSpec(**base, workers=w))) for w in (1, 2))
     assert len(one["per_item"]) > 10
     assert one == two
     with monkeypatch.context() as mp:
         _memo_off(mp)
         assert _stable(run_search(SearchSpec(**base, workers=2))) == one
-    search_mod._context.cache_clear()
+
+
+def test_a_run_keeps_nothing_for_the_next(monkeypatch):
+    # the class memo of a first run over Z6 must not vouch, in a second
+    # run of the same spec, for heads that gamma at inf makes fail
+    spec = SearchSpec(family={"kind": "zmod_range", "lo": 6, "hi": 6}, checker="udt",
+                      subset_filter=_NONEMPTY)
+    assert run_search(spec).violations == []
+    _gamma_at_inf(monkeypatch)
+    _, _, want = _brute_force(spec)
+    assert want
+    assert [(v["ambient"], v["sets"]) for v in run_search(spec).violations] == want
+
+
+def test_no_context_outlives_its_run(monkeypatch):
+    contexts = []
+
+    class Context(search_mod._Context):
+        def __init__(self, spec):
+            super().__init__(spec)
+            contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(search_mod, "_Context", Context)
+    for workers in (1, 2):
+        run_search(SearchSpec(family={"kind": "zmod_range", "lo": 1, "hi": 8}, checker="udt",
+                              subset_filter=_NONEMPTY, workers=workers))
+    gc.collect()
+    assert len(contexts) == 2 and all(ref() is None for ref in contexts)
+    assert search_mod._worker_ctx is None
 
 
 def _payloads(monkeypatch, spec):
@@ -858,15 +925,12 @@ def _payloads(monkeypatch, spec):
     no item is run."""
     works = []
 
-    def run_item(payload):
-        _, item, work = payload
+    def run_item(ctx, item, work):
         works.append(work)
         return {"item": item, "checked": 0, "skipped": 0, "violations": []}
 
     monkeypatch.setattr(search_mod, "_run_item", run_item)
-    search_mod._context.cache_clear()
     run_search(spec)
-    search_mod._context.cache_clear()
     return works
 
 
@@ -989,7 +1053,7 @@ def _counted_decodes(monkeypatch):
     return decoded
 
 
-def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_context):
+def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch):
     # udt vouches for every nonempty head over Z_n, so only the tails,
     # one per admitted mask of slot 1, are decoded
     decoded = _counted_decodes(monkeypatch)
@@ -999,8 +1063,8 @@ def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_con
     rep = run_search(spec)
     assert rep.instances_checked == sum((2**n - 1) ** 2 for n in range(2, 10))
     assert len(decoded) <= sum(2**n - 1 for n in range(2, 10))
-    ctx = search_mod._context(json.dumps(spec.to_json(), sort_keys=True))
-    assert all(type(d) is int for heads in ctx._heads.values() for d in heads)
+    ctx = search_mod._Context(spec)
+    assert all(type(d) is int for ai in range(len(ctx.ambients)) for d in ctx.heads(ai))
 
     # theorem: the tails plus the heads its slab entry hands back, each
     # standing for its translation class; it settles both branches, so
@@ -1028,14 +1092,13 @@ def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch, fresh_con
 
     # with no unit in Y it hands back every head failing branch (i)
     monkeypatch.setattr(theorems, "units_of", lambda Y: FinSet(Y.ambient))
-    search_mod._context.cache_clear()
     decoded = _counted_decodes(monkeypatch)
     rep = run_search(spec)
     assert rep.violations and handed
     assert len(decoded) <= tails + len(handed)
 
 
-def test_reduced_slot_zero_runs_the_sets_holding_the_identity(monkeypatch, fresh_context):
+def test_reduced_slot_zero_runs_the_sets_holding_the_identity(monkeypatch):
     # with one summand, slot 0 is the reduced slot: its heads are the
     # empty mask and the masks holding the identity, and the runner must
     # see those sets, in order
