@@ -155,11 +155,9 @@ def _cmd_davenport(args):
     pair = davenport_transform(X, Y, z)
     # davenport_transform requires every hypothesis under which the four
     # facts are proved, so a failed fact is a bug
-    doc = pair.to_json()
-    failed = [f for f in ("within_sumset", "disjoint", "size_bound", "ledger") if not doc[f]]
-    if failed:
-        raise InvariantBroken(f"Davenport transform facts failed: {', '.join(failed)}")
-    return 0, doc
+    if pair.failed_facts:
+        raise InvariantBroken(f"Davenport transform facts failed: {', '.join(pair.failed_facts)}")
+    return 0, pair.to_json()
 
 
 def _cmd_check(args):

@@ -282,6 +282,14 @@ def _over_ceiling(bits: int, ceiling: int) -> CeilingExceeded:
     return CeilingExceeded(f"at least 2**{bits} instances exceed the ceiling {ceiling}")
 
 
+def _instances(n: int, n_summands: int, reduced: bool) -> int:
+    """The instances of one ambient of n elements, without building a slot:
+    a reduced last slot runs over the empty mask and the 2^(n-1) masks
+    containing the identity."""
+    last = (1 << n - 1) + 1 if reduced else 1 << n
+    return (1 << n) ** (n_summands - 1) * last
+
+
 def _slots(ambient: Ambient, n_summands: int, reduced: bool) -> list:
     """The masks each slot of one ambient runs over, indexed by digit;
     slot 0 varies fastest.  With symmetry reduction the last slot runs over
@@ -365,10 +373,11 @@ class _Context:
         self.f_identity = filters.get("contains_identity", False)
         self.f_commutative = filters.get("commutative_generated", False)
         if exhaustive:
-            self.slots = [_slots(a, k, spec.symmetry_reduction) for a in ambients]
-            total = sum(math.prod(map(len, slots)) for slots in self.slots)
+            # the whole family meets the ceiling before any slot is built
+            total = sum(_instances(a.carrier_size, k, spec.symmetry_reduction) for a in ambients)
             if total > spec.ceiling:
                 raise _over_ceiling(total.bit_length() - 1, spec.ceiling)
+            self.slots = [_slots(a, k, spec.symmetry_reduction) for a in ambients]
         self._heads = {}
         self._classes = (None, None)
 

@@ -124,9 +124,16 @@ class DavenportPair:
     sides: dict
     witnesses: dict = field(default_factory=dict)
 
+    FACTS = ("within_sumset", "disjoint", "size_bound", "ledger")
+
+    @property
+    def failed_facts(self) -> list:
+        """The names of the transform facts that fail, in FACTS order."""
+        return [f for f in self.FACTS if not getattr(self, f)]
+
     @property
     def all_hold(self) -> bool:
-        return self.within_sumset and self.disjoint and self.size_bound and self.ledger
+        return not self.failed_facts
 
     def to_json(self):
         enc = self.y_tilde.ambient.encode

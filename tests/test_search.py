@@ -155,6 +155,37 @@ def test_ceiling_is_checked_before_any_mask_range_exists():
             run_search(SearchSpec(**z4, ceiling=ceiling))
 
 
+def test_a_family_total_fails_the_ceiling_before_any_slot_exists(monkeypatch):
+    # each reduced Z10 has 2^9 + 1 = 513 instances, under the ceiling, but
+    # the three of them hold 1539, over it
+    built = []
+    real = search_mod._slots
+
+    def slots(ambient, n_summands, reduced):
+        built.append(ambient.carrier_size)
+        return real(ambient, n_summands, reduced)
+
+    monkeypatch.setattr(search_mod, "_slots", slots)
+    z10s = dict(family={"kind": "explicit", "ambients": [{"kind": "zmod", "n": 10}] * 3},
+                checker="conjecture", n_summands=1, symmetry_reduction=True)
+    with pytest.raises(CeilingExceeded, match=r"^at least 2\*\*10 instances"):
+        run_search(SearchSpec(**z10s, ceiling=1538))
+    assert built == []
+    assert run_search(SearchSpec(**z10s, ceiling=1539)).instances_checked > 0
+    assert built == [10, 10, 10]
+
+
+def test_instance_counts_match_the_slots():
+    for a in (ZMod(1), ZMod(2), ZMod(5), make_ambient({"kind": "product", "factors": [
+            {"kind": "zmod", "n": 2}, {"kind": "zmod", "n": 3}]})):
+        for k in (1, 2, 3):
+            for reduced in (False, True):
+                slots = search_mod._slots(a, k, reduced)
+                assert search_mod._instances(a.carrier_size, k, reduced) == math.prod(
+                    map(len, slots)
+                ), (a.describe(), k, reduced)
+
+
 def _counted_zmods(monkeypatch):
     """The moduli of the ZMod ambients the search's families build from
     now on."""
