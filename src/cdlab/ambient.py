@@ -5,7 +5,10 @@ operation and a report of the axioms it satisfies.  Elements are plain
 Python values (residues, index ints, tuples of ints, words, tuples of
 factor elements); they carry no back-reference to their ambient, so every
 operation takes the ambient explicitly.  All built-in kinds are immutable
-after construction and safe to share across workers.
+after construction and safe to share across workers.  What an ambient
+derives from itself (its description text and hash, its carrier, index map
+and index-addition table, a Cayley table's unit map) is a cached_property,
+computed on first read and kept with the ambient.
 
 Built-in kinds:
 
@@ -19,7 +22,9 @@ Built-in kinds:
 """
 
 import json
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as _cartesian
 from typing import Optional
 
@@ -50,41 +55,34 @@ class AxiomReport:
 
 
 class Ambient:
-    """Base class; concrete kinds implement the element arithmetic."""
+    """Base class; concrete kinds set `axioms` at construction and
+    implement the element arithmetic."""
 
     kind = "abstract"
-
-    def __init__(self):
-        self.axioms: AxiomReport
-        self._carrier = None
-        self._index = None
-        self._table = None
-        self._keyval = None
-        self._hashval = None
+    axioms: AxiomReport
 
     # -- identification ------------------------------------------------
 
     def describe(self) -> dict:
         raise NotImplementedError
 
-    def _ckey(self):
+    @cached_property
+    def _ckey(self) -> str:
         """The canonical description text: two ambients are equal, and hash
         alike, exactly when their descriptions are."""
-        k = self._keyval
-        if k is None:
-            k = self._keyval = json.dumps(self.describe(), sort_keys=True)
-        return k
+        return json.dumps(self.describe(), sort_keys=True)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._ckey)
 
     def __eq__(self, other):
         if self is other:
             return True
-        return isinstance(other, Ambient) and self._ckey() == other._ckey()
+        return isinstance(other, Ambient) and self._ckey == other._ckey
 
     def __hash__(self):
-        h = self._hashval
-        if h is None:
-            h = self._hashval = hash(self._ckey())
-        return h
+        return self._hash
 
     def __repr__(self):
         return f"{type(self).__name__}({self.describe()})"
@@ -131,25 +129,28 @@ class Ambient:
         """All elements, in canonical order.  Finite ambients only."""
         if self.carrier_size is None:
             raise ValueError(f"{self.kind} ambient has no finite carrier")
-        if self._carrier is None:
-            self._carrier = self._build_carrier()
         return self._carrier
 
-    def _build_carrier(self) -> tuple:
+    @cached_property
+    def _carrier(self) -> tuple:
         raise NotImplementedError
 
+    @cached_property
+    def _index(self) -> dict:
+        return {e: i for i, e in enumerate(self.carrier())}
+
     def index_of(self, x) -> int:
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.carrier())}
         return self._index[x]
+
+    @cached_property
+    def _table(self) -> list:
+        elems = self.carrier()
+        idx = self.index_of
+        return [[idx(self.add(a, b)) for b in elems] for a in elems]
 
     def index_table(self):
         """Addition on carrier indices, built on first use; callers ask for
         it only over finite carriers of at most TABLE_CAP elements."""
-        if self._table is None:
-            elems = self.carrier()
-            idx = self.index_of
-            self._table = [[idx(self.add(a, b)) for b in elems] for a in elems]
         return self._table
 
     # -- analytic order rules ---------------------------------------------
@@ -186,7 +187,6 @@ class ZMod(Ambient):
     kind = "zmod"
 
     def __init__(self, n: int):
-        super().__init__()
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise MalformedDescription(f"zmod modulus must be a positive int, got {n!r}")
         self.n = n
@@ -226,7 +226,8 @@ class ZMod(Ambient):
     def sort_key(self, x):
         return x
 
-    def _build_carrier(self):
+    @cached_property
+    def _carrier(self):
         return tuple(range(self.n))
 
     def index_of(self, x):
@@ -246,7 +247,6 @@ class Cayley(Ambient):
     kind = "cayley"
 
     def __init__(self, table, labels=None):
-        super().__init__()
         self.table = self._check_shape(table)
         n = len(self.table)
         if labels is None:
@@ -291,7 +291,6 @@ class Cayley(Ambient):
             commutative=commutative,
             finite_order=n,
         )
-        self._units = None
 
     @staticmethod
     def _check_shape(table):
@@ -336,29 +335,29 @@ class Cayley(Ambient):
             )
         return sols[0]
 
-    def _unit_map(self):
-        if self._units is None:
-            n = len(self.table)
-            e = self.axioms.identity
-            units = {}
-            if e is not None:
-                for x in range(n):
-                    for w in range(n):
-                        if self.table[x][w] == e and self.table[w][x] == e:
-                            units[x] = w
-                            break
-            self._units = units
-        return self._units
+    @cached_property
+    def _units(self) -> dict:
+        """Each unit's inverse, by index."""
+        n = len(self.table)
+        e = self.axioms.identity
+        units = {}
+        if e is not None:
+            for x in range(n):
+                for w in range(n):
+                    if self.table[x][w] == e and self.table[w][x] == e:
+                        units[x] = w
+                        break
+        return units
 
     def is_unit(self, x):
-        return x in self._unit_map()
+        return x in self._units
 
     def invert(self, x):
-        return self._unit_map().get(x)
+        return self._units.get(x)
 
     @property
     def all_units(self):
-        return len(self._unit_map()) == len(self.table)
+        return len(self._units) == len(self.table)
 
     def validate(self, x):
         if not isinstance(x, int) or isinstance(x, bool) or not 0 <= x < len(self.table):
@@ -367,7 +366,8 @@ class Cayley(Ambient):
     def sort_key(self, x):
         return x
 
-    def _build_carrier(self):
+    @cached_property
+    def _carrier(self):
         return tuple(range(len(self.table)))
 
     def index_of(self, x):
@@ -383,7 +383,6 @@ class IntLattice(Ambient):
     kind = "int_lattice"
 
     def __init__(self, dim: int):
-        super().__init__()
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
             raise MalformedDescription(f"dimension must be a positive int, got {dim!r}")
         self.dim = dim
@@ -470,7 +469,6 @@ class FreeMonoid(Ambient):
     kind = "free_monoid"
 
     def __init__(self, alphabet):
-        super().__init__()
         syms = tuple(alphabet)
         if any(not isinstance(s, str) or len(s) != 1 for s in syms):
             raise MalformedDescription("alphabet symbols must be single characters")
@@ -518,7 +516,8 @@ class FreeMonoid(Ambient):
     def ord_is_infinite(self, x):
         return x != ""
 
-    def _build_carrier(self):
+    @cached_property
+    def _carrier(self):
         return ("",)  # empty alphabet only
 
 
@@ -528,7 +527,6 @@ class Product(Ambient):
     kind = "product"
 
     def __init__(self, factors):
-        super().__init__()
         factors = tuple(factors)
         if not factors or not all(isinstance(f, Ambient) for f in factors):
             raise MalformedDescription("product needs at least one ambient factor")
@@ -536,11 +534,7 @@ class Product(Ambient):
         axs = [f.axioms for f in factors]
         has_id = all(a.has_identity for a in axs)
         sizes = [a.finite_order for a in axs]
-        finite = None
-        if all(s is not None for s in sizes):
-            finite = 1
-            for s in sizes:
-                finite *= s
+        finite = math.prod(sizes) if None not in sizes else None
         self.axioms = AxiomReport(
             associative=True,
             cancellative=all(a.cancellative for a in axs),
@@ -604,7 +598,8 @@ class Product(Ambient):
             bound *= max(b, 1)
         return bound
 
-    def _build_carrier(self):
+    @cached_property
+    def _carrier(self):
         return tuple(_cartesian(*(f.carrier() for f in self.factors)))
 
     def encode(self, x):

@@ -11,8 +11,9 @@ are derived from the seed and the trial index alone.
 
 Each run builds one search context from its spec: the one place the spec
 is validated and the ceiling checked, holding each ambient's slot masks
-and what the walk builds from them.  It is handed to the walk, and forked
-workers inherit it, so no state of one run reaches the next.
+and what the walk builds from them for the ambient it is in.  It is
+handed to the walk, and forked workers inherit it, so no state of one run
+reaches the next.
 
 An exhaustive item is walked slab by slab over carrier masks: a slab
 fixes the trailing sets and runs slot 0 over all of its admitted heads.
@@ -306,9 +307,10 @@ def _slots(ambient: Ambient, n_summands: int, reduced: bool) -> list:
 
 
 class _Context:
-    """One search: its spec, validated, and what the walk reads of it.
-    run_search builds one per run and hands it to the walk, and forked
-    workers inherit it, so nothing of one run outlives it."""
+    """One search: its spec, validated, its slot masks, and the view of
+    the one ambient the walk is in.  run_search builds one per run and
+    hands it to the walk, and forked workers inherit it, so nothing of one
+    run outlives it."""
 
     def __init__(self, spec: SearchSpec):
         name = resolve_checker(spec.checker)
@@ -339,6 +341,11 @@ class _Context:
             _int_field(mode.get("seed"), "random mode seed")
             _int_field(mode.get("trials"), "random mode trials", 1)
         bound, build = _family(spec.family)
+        if not exhaustive and bound > _MAX_DRAW_BITS:
+            raise SpecInvalid(
+                f"random mode draws sets over at most {_MAX_DRAW_BITS} elements, "
+                f"got a carrier of {bound}"
+            )
         if exhaustive:
             # an ambient of n elements has more than 2^(n k - 1) instances
             # over k slots, since a reduced slot keeps more than half of its
@@ -353,11 +360,6 @@ class _Context:
                 raise SpecInvalid(
                     f"checker {name!r} runs over {chk.ambient_kind} ambients only, got {a.kind}"
                 )
-        if not exhaustive and bound > _MAX_DRAW_BITS:
-            raise SpecInvalid(
-                f"random mode draws sets over at most {_MAX_DRAW_BITS} elements, "
-                f"got a carrier of {bound}"
-            )
         if spec.symmetry_reduction:
             if not chk.translation_invariant:
                 raise SpecInvalid(f"checker {name!r} is not marked translation invariant")
@@ -378,31 +380,38 @@ class _Context:
             if total > spec.ceiling:
                 raise _over_ceiling(total.bit_length() - 1, spec.ceiling)
             self.slots = [_slots(a, k, spec.symmetry_reduction) for a in ambients]
-        self._heads = {}
-        self._classes = (None, None)
+        self._view = (None, None)
 
-    def classes(self, ai: int) -> tuple:
-        """The translation classes of ambient ai, as (cls, members, reps,
-        memo): cls[m] is the least translate of carrier mask m and
-        members[m] its class in ascending order (see
-        setops._translation_classes), reps lists the admitted heads that
-        are the least of their class, and memo maps the least translates of
-        a tail's masks to the admitted heads the slab entry hands back for
-        that class of tails.  Built on first use and replaced when the walk
-        moves to another ambient, so it never holds more than one
-        ambient's table."""
-        if self._classes[0] != ai:
-            cls, members = _translation_classes(self.ambients[ai])
-            reps = [m for m in self.heads(ai) if cls[m] == m]
-            self._classes = (ai, (cls, members, reps, {}))
-        return self._classes[1]
-
-    def heads(self, ai: int) -> list:
-        """The masks of slot 0 that the subset filter admits, in order."""
-        got = self._heads.get(ai)
-        if got is None:
-            got = self._heads[ai] = [m for m in self.slots[ai][0] if _admits(self, ai, 0, m)]
-        return got
+    def view(self, ai: int) -> tuple:
+        """What the walk reads of ambient ai, as (heads, entry, classes):
+        the slot-0 masks the subset filter admits, in order; the slab
+        entry, or None where it cannot run (it reads carrier masks, and one
+        summand leaves it no tail); and None unless the class memo serves,
+        that is for a translation invariant entry over a commutative
+        ambient with an identity and only units, where it is (cls, members,
+        reps, memo): the table of setops._translation_classes, the admitted
+        heads least in their class, and the heads the entry hands back per
+        tuple of least translates of a tail's masks.  Built when the walk
+        enters ambient ai and replaced when it moves on: segments run in
+        ambient order, so neither an in-process walk nor a forked worker
+        returns to an ambient it has left."""
+        if self._view[0] != ai:
+            a = self.ambients[ai]
+            chk = self.checker
+            heads = [m for m in self.slots[ai][0] if _admits(self, ai, 0, m)]
+            entry = chk.slab if len(self.slots[ai]) > 1 and _mask_form(a) else None
+            classes = None
+            if (
+                entry is not None
+                and chk.translation_invariant
+                and a.axioms.commutative
+                and a.axioms.has_identity
+                and a.all_units
+            ):
+                cls, members = _translation_classes(a)
+                classes = (cls, members, [m for m in heads if cls[m] == m], {})
+            self._view = (ai, (heads, entry, classes))
+        return self._view[1]
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -429,9 +438,9 @@ def _admits(ctx: _Context, ai: int, slot: int, mask: int) -> bool:
     return not ctx.f_commutative or is_commutative_generated(_decode(a, mask))
 
 
-def _sweep(ctx: _Context, ai: int, heads: list, tail: list, tally: dict):
-    """Run the checker on (X, *tail) for every X in heads, in order, and
-    add the outcomes to the item's tally."""
+def _sweep(ctx: _Context, ai: int, heads, tail: list, tally: dict):
+    """Run the checker on (X, *tail) for every X of the iterable heads, in
+    order, and add the outcomes to the item's tally."""
     run = ctx.checker.run
     checked = skipped = 0
     for X in heads:
@@ -471,23 +480,14 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
     checker's slab entry vouches for are checked, and only the heads left
     over go through _sweep.  Over an abelian group a translation invariant
     entry runs once per translation class of tails, on one head per class.
-    The tail is decoded only where the entry or the runner reads it."""
-    chk = ctx.checker
+    The tail is decoded only where the entry or the runner reads it, and
+    the pending heads are decoded one at a time as the runner reaches them."""
     for ai, first, end in segments:
         a = ctx.ambients[ai]
-        heads = ctx.heads(ai)
+        heads, slab_entry, classes = ctx.view(ai)
+        if classes is not None:
+            cls, members, reps, memo = classes
         trailing = [(masks, len(masks)) for masks in ctx.slots[ai][1:]]
-        # a slab entry builds its column over the tail: one summand has none
-        slab_entry = chk.slab if trailing and _mask_form(a) else None
-        memo = None
-        if (
-            slab_entry is not None
-            and chk.translation_invariant
-            and a.axioms.commutative
-            and a.axioms.has_identity
-            and a.all_units
-        ):
-            cls, members, reps, memo = ctx.classes(ai)
         width = len(ctx.slots[ai][0])
         for slab in range(first, end):
             tail = []
@@ -499,7 +499,7 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
                 tally["skipped"] += width
                 continue
             tally["skipped"] += width - len(heads)
-            if memo is not None:
+            if classes is not None:
                 key = tuple([cls[m] for m in tail])
                 pending = memo.get(key)
                 if pending is None:
@@ -517,7 +517,7 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
             tally["checked"] += len(heads) - len(pending)
             if pending:
                 sets = [_decode(a, m) for m in tail]
-                _sweep(ctx, ai, [_decode(a, m) for m in pending], sets, tally)
+                _sweep(ctx, ai, (_decode(a, m) for m in pending), sets, tally)
 
 
 def _sample_instance(ctx: _Context, index: int):

@@ -166,6 +166,14 @@ def test_normalize_pair_no_witness():
         normalize_pair(FinSet(Z6, [0]), FinSet(Z6, [1]), kappa=1)
 
 
+def test_normalize_pair_needs_a_cancellative_monoid_with_a_unit_in_y():
+    band = fixtures.left_zero_band()
+    with pytest.raises(PreconditionViolated, match="cancellative monoid"):
+        normalize_pair(FinSet(band, [0]), FinSet(band, [0, 1]), kappa=1)
+    with pytest.raises(PreconditionViolated, match="a unit in Y"):
+        normalize_pair(FinSet(NAT, [(0,)]), FinSet(NAT, [(1,), (2,)]), kappa=1)
+
+
 def test_normalize_pair_shifts_by_the_gamma_witness():
     # at kappa = gamma(Y) the chosen unit is the witness of the sup; one
     # above it no unit qualifies

@@ -4,6 +4,8 @@ and what they return is what the undecorated functions compute."""
 import importlib
 import pkgutil
 import random
+import re
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,19 @@ def test_every_memo_is_bounded():
         assert memo.cache_info().maxsize is not None
     assert gamma._gamma.cache_info().maxsize == MEMO_SIZE
     assert theorems._closure.cache_info().maxsize == MEMO_SIZE
+
+
+def test_no_hand_rolled_lazy_state():
+    # one cache policy: what an object derives from itself is a
+    # cached_property, not an attribute set to None and filled on first use
+    pattern = re.compile(r"self\._\w+ (?:= None\b|is None\b)")
+    found = [
+        f"{path.name}:{n}: {line.strip()}"
+        for path in sorted(Path(cdlab.__path__[0]).glob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert found == []
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -186,12 +186,14 @@ def test_instance_counts_match_the_slots():
                 ), (a.describe(), k, reduced)
 
 
-def _counted_zmods(monkeypatch):
+def _counted_zmods(monkeypatch, limit=None):
     """The moduli of the ZMod ambients the search's families build from
-    now on."""
+    now on; building more than `limit` of them raises."""
     built = []
 
     def zmod(n):
+        if limit is not None and len(built) >= limit:
+            raise RuntimeError(f"built more than {limit} ZMod ambients")
         built.append(n)
         return ZMod(n)
 
@@ -218,6 +220,17 @@ def test_a_huge_family_fails_the_ceiling_before_any_ambient_exists(monkeypatch):
     ):
         with pytest.raises(CeilingExceeded, match=r"^at least 2\*\*199999 instances"):
             run_search(SearchSpec(family=family, checker="udt"))
+    assert built == []
+
+
+def test_a_random_carrier_above_the_draw_bound_fails_before_any_ambient_exists(monkeypatch):
+    # the limit stops a family of 2^31 ambients from being built should
+    # the draw bound be checked after the family
+    built = _counted_zmods(monkeypatch, limit=100)
+    spec = SearchSpec(family={"kind": "zmod_range", "lo": 1, "hi": 1 << 31}, checker="udt",
+                      mode={"kind": "random", "seed": 1, "trials": 1})
+    with pytest.raises(SpecInvalid, match="random mode draws sets over at most"):
+        run_search(spec)
     assert built == []
 
 
@@ -835,7 +848,7 @@ def _entry_calls(monkeypatch, spec):
         return run_item(ctx, item, work)
 
     def slab(heads, tail):
-        _, classes = contexts[-1]._classes
+        _, (_, _, classes) = contexts[-1]._view
         held = 0 if classes is None else len(classes[3])
         calls.append((tail[0].ambient, held, list(heads)))
         return chk.slab(heads, tail)
@@ -1095,7 +1108,7 @@ def test_exhaustive_search_decodes_only_the_sets_it_reads(monkeypatch):
     assert rep.instances_checked == sum((2**n - 1) ** 2 for n in range(2, 10))
     assert len(decoded) <= sum(2**n - 1 for n in range(2, 10))
     ctx = search_mod._Context(spec)
-    assert all(type(d) is int for ai in range(len(ctx.ambients)) for d in ctx.heads(ai))
+    assert all(type(d) is int for ai in range(len(ctx.ambients)) for d in ctx.view(ai)[0])
 
     # theorem: the tails plus the heads its slab entry hands back, each
     # standing for its translation class; it settles both branches, so

@@ -23,7 +23,7 @@ from cdlab import (
     units_of,
 )
 from cdlab.errors import AmbientMismatch, EmptySet, PreconditionViolated, WrongAmbient
-from cdlab import fixtures
+from cdlab import fixtures, theorems
 
 Z4 = make_ambient({"kind": "zmod", "n": 4})
 Z5 = make_ambient({"kind": "zmod", "n": 5})
@@ -163,6 +163,20 @@ def test_prop_equiv_fixtures():
     assert not v.cond_i and not v.cond_ii and not v.cond_iii and v.agree
     v = check_prop_equiv(FinSet(Z5, []), FinSet(Z5, [0, 1]))
     assert v.cond_i and v.cond_ii and v.cond_iii and v.agree
+
+
+def test_prop_equiv_reports_a_counterwitness(monkeypatch):
+    # (i) and (ii) hold on Z4 with X = Y = {0, 2}; a (iii) forced false
+    # must come back as a disagreement carrying all three and the sets
+    monkeypatch.setattr(theorems, "_third_condition", lambda *args: False)
+    X = Y = FinSet(Z4, [0, 2])
+    v = check_prop_equiv(X, Y)
+    assert v.cond_i and v.cond_ii and not v.cond_iii
+    assert v.agree is False and v.holds is False
+    assert v.counterwitness == {
+        "cond_i": True, "cond_ii": True, "cond_iii": False, "x": [0, 2], "y": [0, 2],
+    }
+    assert v.to_json()["counterwitness"] == v.counterwitness
 
 
 def test_prop_equiv_needs_units():
