@@ -27,13 +27,18 @@ Over an abelian group, translating a set by any element changes none of
 what a translation invariant checker's slab entry reads (sizes, |X + Y|,
 gamma, the structure identity), so the heads it hands back form whole
 translation classes of heads and depend only on the translation class of
-each tail set.  For the ambient being walked the context keeps one class
-table, the least translate and the class of every carrier mask: the entry
-runs once per class of tails, on one head per class of admitted heads,
-and the heads it hands back are expanded to their classes and kept for
-that class of tails.  The runner still runs each of them against the
-actual tail, so counts and violations are exact.  A set is decoded only
-where a slab entry, a runner or a filter reads it.
+each tail set.  Over Z_n each unit u gives an automorphism x -> ux, which
+changes no verdict of any checker, so the heads an entry hands back for
+the tail uT are the u-images of those for T.  For the ambient being walked
+the context keeps one class table, the least translate and the class of
+every carrier mask (each mask its own class for hs, which translations
+move), and a memo keyed on the classes of a tail's masks.  The entry runs
+once per orbit of tails under the units and translations, on one head per
+class of admitted heads; what it hands back is stored for every u-image of
+the tail together with u, and a tail that finds it maps each head by u
+and expands it to its class.  The runner still runs each of those heads
+against the actual tail, so counts and violations are exact.  A set is
+decoded only where a slab entry, a runner or a filter reads it.
 
 Violations embed the full ambient description and set encodings, so
 `replay` can re-run the named checker on the exact instance with no other
@@ -55,7 +60,14 @@ from .errors import (
     PreconditionViolated,
     SpecInvalid,
 )
-from .setops import MEMO_SIZE, FinSet, _mask_form, _translation_classes, is_commutative_generated
+from .setops import (
+    MEMO_SIZE,
+    FinSet,
+    _mask_form,
+    _translation_classes,
+    _unit_maps,
+    is_commutative_generated,
+)
 from . import theorems
 
 DEFAULT_CEILING = 1 << 30
@@ -88,6 +100,13 @@ class Checker:
     heads (given every head of those classes).  So the search runs the
     entry once per class of tails, on one head per class, and expands the
     heads it hands back to their classes.
+
+    Every checker, translation invariant or not, gives the same `holds`
+    over Z_n when every set is mapped by x -> ux for a unit u, since that
+    map is an automorphism and a verdict reads only sizes, sumsets,
+    closures and orders; its slab entry hands back the u-images of the
+    heads it hands back for the unmapped tail.  The search keys its memo
+    on this over Z_n, so a checker added later must keep it.
 
     A slab entry vouches for heads in bulk.  Given the masks of the heads
     of one exhaustive slab that the subset filter admits (slot 0, in order)
@@ -387,29 +406,35 @@ class _Context:
         the slot-0 masks the subset filter admits, in order; the slab
         entry, or None where it cannot run (it reads carrier masks, and one
         summand leaves it no tail); and None unless the class memo serves,
-        that is for a translation invariant entry over a commutative
-        ambient with an identity and only units, where it is (cls, members,
-        reps, memo): the table of setops._translation_classes, the admitted
-        heads least in their class, and the heads the entry hands back per
-        tuple of least translates of a tail's masks.  Built when the walk
-        enters ambient ai and replaced when it moves on: segments run in
-        ambient order, so neither an in-process walk nor a forked worker
-        returns to an ambient it has left."""
+        where it is (cls, members, reps, memo, units).  It serves a
+        translation invariant entry over a commutative ambient with an
+        identity and only units, where cls and members are the table of
+        setops._translation_classes, and any entry over Z_n, where an entry
+        that translations move (hs) has every mask its own class.  units
+        are the maps of setops._unit_maps, the identity alone off Z_n, and
+        reps the admitted heads least in their class.  The memo maps the
+        classes of a tail's masks to the heads the entry handed back for a
+        tail T and the map of a unit u such that uT has those classes.
+        Built when the walk enters ambient ai and replaced when it moves
+        on: segments run in ambient order, so neither an in-process walk
+        nor a forked worker returns to an ambient it has left."""
         if self._view[0] != ai:
             a = self.ambients[ai]
             chk = self.checker
             heads = [m for m in self.slots[ai][0] if _admits(self, ai, 0, m)]
             entry = chk.slab if len(self.slots[ai]) > 1 and _mask_form(a) else None
+            translates = chk.translation_invariant and (
+                a.axioms.commutative and a.axioms.has_identity and a.all_units
+            )
             classes = None
-            if (
-                entry is not None
-                and chk.translation_invariant
-                and a.axioms.commutative
-                and a.axioms.has_identity
-                and a.all_units
-            ):
-                cls, members = _translation_classes(a)
-                classes = (cls, members, [m for m in heads if cls[m] == m], {})
+            if entry is not None and (translates or type(a) is ZMod):
+                if translates:
+                    cls, members = _translation_classes(a)
+                else:
+                    cls = range(1 << a.carrier_size)
+                    members = [[m] for m in cls]
+                reps = [m for m in heads if cls[m] == m]
+                classes = (cls, members, reps, {}, _unit_maps(a))
             self._view = (ai, (heads, entry, classes))
         return self._view[1]
 
@@ -479,14 +504,15 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
     every admitted head.  Heads the filter rejects are skipped, heads the
     checker's slab entry vouches for are checked, and only the heads left
     over go through _sweep.  Over an abelian group a translation invariant
-    entry runs once per translation class of tails, on one head per class.
+    entry runs once per translation class of tails, on one head per class,
+    and over Z_n any entry runs once per orbit of tails under the units.
     The tail is decoded only where the entry or the runner reads it, and
     the pending heads are decoded one at a time as the runner reaches them."""
     for ai, first, end in segments:
         a = ctx.ambients[ai]
         heads, slab_entry, classes = ctx.view(ai)
         if classes is not None:
-            cls, members, reps, memo = classes
+            cls, members, reps, memo, units = classes
         trailing = [(masks, len(masks)) for masks in ctx.slots[ai][1:]]
         width = len(ctx.slots[ai][0])
         for slab in range(first, end):
@@ -501,15 +527,17 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
             tally["skipped"] += width - len(heads)
             if classes is not None:
                 key = tuple([cls[m] for m in tail])
-                pending = memo.get(key)
-                if pending is None:
+                if key not in memo:
                     # the filter admits whole classes of heads and the entry
                     # hands back whole classes, so each representative it
                     # hands back stands for its class; on a failed
-                    # hypothesis that is every admitted head
-                    sets = [_decode(a, m) for m in tail]
-                    pending = _vouch(slab_entry, reps, sets)
-                    pending = memo[key] = sorted([m for r in pending for m in members[r]])
+                    # hypothesis that is every admitted head.  The tail uT
+                    # gets the u-images of them, the identity coming first
+                    found = _vouch(slab_entry, reps, [_decode(a, m) for m in tail])
+                    for unit in units:
+                        memo.setdefault(tuple([cls[unit(m)] for m in tail]), (found, unit))
+                found, unit = memo[key]
+                pending = sorted([m for r in found for m in members[unit(r)]])
             elif slab_entry is not None:
                 pending = _vouch(slab_entry, heads, [_decode(a, m) for m in tail])
             else:

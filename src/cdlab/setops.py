@@ -14,6 +14,7 @@ either certifies infinitude or bounds the closure, and then walk the
 closure to that bound, so none of the built-in kinds can run away.
 """
 
+import math
 from dataclasses import dataclass
 
 from .ambient import Ambient, ZMod, TABLE_CAP
@@ -261,6 +262,34 @@ def _translation_classes(a: Ambient):
                 cls[t] = m
                 members[t] = orbit
     return cls, members
+
+
+def _same(m: int) -> int:
+    return m
+
+
+def _unit_maps(a: Ambient) -> list:
+    """The automorphisms x -> ux of `a` as maps of carrier masks, the
+    identity first: over zmod one per unit u of Z_n, from the mask of X to
+    the mask of uX; every other ambient gets the identity alone.  A map
+    walks the bits of the one mask it is given (about 1 us over Z11), so
+    no table of 2^n images is built per unit."""
+    maps = [_same]
+    if type(a) is ZMod:
+        n = a.n
+        for u in range(2, n):
+            if math.gcd(u, n) == 1:
+
+                def scale(m, images=[1 << u * i % n for i in range(n)]):
+                    out = 0
+                    while m:
+                        low = m & -m
+                        out |= images[low.bit_length() - 1]
+                        m ^= low
+                    return out
+
+                maps.append(scale)
+    return maps
 
 
 # -- sumsets ---------------------------------------------------------------

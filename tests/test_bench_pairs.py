@@ -1,8 +1,10 @@
-"""The summary step of tools/bench_pairs.py, on a synthetic JSON-lines
-file of alternated runs."""
+"""tools/bench_pairs.py: the summary step, on a synthetic JSON-lines file
+of alternated runs, and the copy of a tree each run gets."""
 
+import argparse
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,3 +62,32 @@ def test_summary_skips_a_pair_missing_one_side(tmp_path):
     rate = doc["end_to_end"]["w"]["inst_per_s"]
     assert rate["pairs"] == 1 and rate["runs"] == {"parent": [10, 11], "change": [12, None]}
     assert rate["parent"]["median"] == 10 and rate["change_better_pairs"] == 1
+
+
+def test_each_run_gets_a_fresh_copy_of_its_tree(tmp_path, monkeypatch):
+    tree = tmp_path / "tree"
+    (tree / "bench" / "__pycache__").mkdir(parents=True)
+    (tree / "bench" / "run.py").write_text("")
+    for left_out in (".git", ".hypothesis", "__pycache__"):
+        (tree / left_out).mkdir()
+    seen = []
+
+    def run(cmd, cwd, **kwargs):
+        cwd = Path(cwd)
+        seen.append((cwd, sorted(str(p.relative_to(cwd)) for p in cwd.rglob("*"))))
+        out = Path(cmd[cmd.index("--out") + 1])
+        out.write_text(json.dumps(_run("parent", 0, 10, 0.1)) + "\n")
+        return subprocess.CompletedProcess(cmd, 0, "", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    args = argparse.Namespace(workload="w", seed="1", seconds=1)
+    runs = tmp_path / "runs.jsonl"
+    for pair in (1, 2):
+        assert bench_pairs.run_side(tree, "parent", pair, args, runs)
+    (first, listed), (second, again) = seen
+    # two pairs run in two directories, neither the tree itself, and each
+    # copy is gone once its run is over
+    assert first != second and tree not in (first, second)
+    assert listed == again == ["bench", "bench/run.py"]
+    assert not first.exists() and not second.exists()
+    assert [r["pair"] for r in bench_pairs.load_runs(runs)] == [1, 2]

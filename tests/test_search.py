@@ -779,19 +779,37 @@ _MEMO_SPECS = [
          subset_filter={"max_size": 3}),
     dict(family={"kind": "abelian_up_to_order", "max_order": 4}, checker="conjecture",
          n_summands=3, subset_filter=_NONEMPTY),
+    # over Z_n, where the memo also keys on orbits under x -> ux: a tail
+    # finds the heads of a tail u^-1 of it, mapped back by u
+    dict(family={"kind": "zmod_range", "lo": 5, "hi": 8}, checker="udt",
+         subset_filter=_NONEMPTY),
+    dict(family={"kind": "zmod_range", "lo": 8, "hi": 8}, checker="theorem",
+         symmetry_reduction=True),
+    # two-set tails, mapped by one unit
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 5}, checker="conjecture",
+         n_summands=3),
+    # each tail mask its own class, under the units alone
+    dict(family={"kind": "zmod_range", "lo": 1, "hi": 7}, checker="hs"),
+    # below Z10, gamma at inf leaves every tail's pending heads fixed by each
+    # unit, so only here does a head not mapped back by u drop a violation
+    dict(family={"kind": "zmod_range", "lo": 10, "hi": 10}, checker="udt",
+         subset_filter={"max_size": 4, "contains_identity": True}),
+    dict(family={"kind": "zmod_range", "lo": 10, "hi": 10}, checker="hs",
+         subset_filter={"max_size": 4, "contains_identity": True}),
 ]
 
 
 def _memo_off(monkeypatch):
-    """Give the search the identity class table: every mask is its own
-    class, so the memo is keyed on each tail mask itself and the entry
-    runs on every head."""
+    """Give the search the identity class table and the identity unit
+    alone: every mask is its own class and its own orbit, so the memo is
+    keyed on each tail mask itself and the entry runs on every head."""
 
     def identity_table(a):
         size = 1 << a.carrier_size
         return list(range(size)), [[m] for m in range(size)]
 
     monkeypatch.setattr(search_mod, "_translation_classes", identity_table)
+    monkeypatch.setattr(search_mod, "_unit_maps", lambda a: [lambda m: m])
 
 
 def test_class_memo_matches_the_memo_off_and_brute_force(monkeypatch):
@@ -816,6 +834,16 @@ def test_class_memo_matches_the_memo_off_and_brute_force(monkeypatch):
 def _translate(X, g):
     a = X.ambient
     return FinSet(a, [a.add(x, g) for x in X])
+
+
+def _units(a):
+    """The units of Z_n, the identity first, from gcd; 0 in Z1."""
+    return [u for u in range(1, a.n) if math.gcd(u, a.n) == 1] or [0]
+
+
+def _scale(X, u):
+    """uX over Z_n, from the elements."""
+    return FinSet(X.ambient, [u * x % X.ambient.n for x in X])
 
 
 def _class_of(X):
@@ -861,6 +889,28 @@ def _entry_calls(monkeypatch, spec):
     return calls
 
 
+def _orbit_walk(a, admits, translates):
+    """What the memo holds at each slab entry call of a one-set tail
+    walk over a, from the elements: tails are met in ascending mask order,
+    and the first admitted tail of each orbit, under x -> ux + g over Z_n
+    (x -> ux when translates is false) and x -> x + g elsewhere, calls the
+    entry while the memo holds a key per class of each orbit met before,
+    a class being a translation class, or a mask when translates is
+    false."""
+    units = _units(a) if a.kind == "zmod" else []
+    seen, held = set(), []
+    for m in range(1 << a.carrier_size):
+        if not admits(m):
+            continue
+        X = FinSet.from_mask(a, m)
+        images = [X] + [_scale(X, u) for u in units]
+        orbit = {_class_of(Y) if translates else Y.raw for Y in images}
+        if not orbit & seen:
+            held.append(len(seen))
+            seen |= orbit
+    return held
+
+
 def test_class_memo_serves_only_abelian_groups_and_invariant_checkers(monkeypatch):
     # no memo: one entry call per admitted tail, as without it
     for family, checker, flt in (
@@ -868,27 +918,31 @@ def test_class_memo_serves_only_abelian_groups_and_invariant_checkers(monkeypatc
         ({"kind": "explicit", "ambients": [fixtures.d4().describe()]}, "udt", {}),
         ({"kind": "explicit", "ambients": [fixtures.q8().describe()]}, "udt", _NONEMPTY),
         ({"kind": "explicit", "ambients": [fixtures.left_zero_band(3).describe()]}, "udt", {}),
-        ({"kind": "zmod_range", "lo": 1, "hi": 6}, "hs", {}),
     ):
         spec = SearchSpec(family=family, checker=checker, subset_filter=flt)
         calls = _entry_calls(monkeypatch, spec)
         tails = sum((1 << a.carrier_size) - bool(flt) for a in family_ambients(family))
         assert len(calls) == tails and all(held == 0 for _, held, _ in calls), family
-    # memo: one entry call per class of admitted tails, across the item
-    # boundary inside Z8, and never more classes held than the ambient has
-    for family, flt in (
-        ({"kind": "zmod_range", "lo": 1, "hi": 8}, {}),
-        ({"kind": "explicit", "ambients": [_Z2Z4, _Z2_3]}, _NONEMPTY),
-        ({"kind": "explicit", "ambients": [_Z3Z3]}, {"max_size": 3}),
+    # memo: one entry call per orbit of admitted tails, across the item
+    # boundary inside Z8, under x -> ux + g over Z_n (x -> ux for hs, which
+    # translations move) and x -> x + g over products; at each call the
+    # memo holds the classes of the orbits met before
+    for family, checker, flt in (
+        ({"kind": "zmod_range", "lo": 1, "hi": 8}, "udt", {}),
+        ({"kind": "zmod_range", "lo": 1, "hi": 6}, "hs", {}),
+        ({"kind": "zmod_range", "lo": 1, "hi": 7}, "hs", {"nonempty": True, "max_size": 3}),
+        ({"kind": "explicit", "ambients": [_Z2Z4, _Z2_3]}, "udt", _NONEMPTY),
+        ({"kind": "explicit", "ambients": [_Z3Z3]}, "udt", {"max_size": 3}),
     ):
-        spec = SearchSpec(family=family, checker="udt", subset_filter=flt)
+        spec = SearchSpec(family=family, checker=checker, subset_filter=flt)
         calls = _entry_calls(monkeypatch, spec)
         cap = flt.get("max_size", 1 << 9)
+        translates = search_mod.CHECKERS[checker].translation_invariant
         for a in family_ambients(family):
-            n_classes = _classes(a, lambda m: m.bit_count() <= cap and (m or not flt.get("nonempty")))
-            held = [h for b, h, _ in calls if b == a]
-            assert len(held) == n_classes, (family, a)
-            assert held == list(range(n_classes)), (family, a)
+            held = _orbit_walk(
+                a, lambda m: m.bit_count() <= cap and (m or not flt.get("nonempty")), translates
+            )
+            assert [h for b, h, _ in calls if b == a] == held, (family, checker, a)
 
 
 def test_class_memo_runs_the_entry_on_one_head_per_class(monkeypatch):
@@ -1038,6 +1092,19 @@ def test_bench_specs_keep_their_item_counts(monkeypatch):
     assert _payloads(monkeypatch, spec) == [(0, 4096), (4096, 5000)]
 
 
+def test_bench_specs_keep_their_entry_call_counts(monkeypatch):
+    # one slab entry call per orbit of tails under x -> ux + g (x -> ux for
+    # hs); a memo that serves fewer tails shows here, not only in the bench
+    primes = {"kind": "explicit", "ambients": [{"kind": "zmod", "n": p} for p in (2, 3, 5, 7, 11)]}
+    for doc, count in (
+        (dict(family=primes, checker="udt", subset_filter=_NONEMPTY), 48),
+        (dict(family={"kind": "zmod_range", "lo": 2, "hi": 8}, checker="theorem",
+              subset_filter=_NONEMPTY), 59),
+        (dict(family={"kind": "zmod_range", "lo": 1, "hi": 8}, checker="hs"), 200),
+    ):
+        assert len(_entry_calls(monkeypatch, SearchSpec(**doc))) == count, doc
+
+
 def _holds(chk, sets):
     return chk.run(sets).holds
 
@@ -1050,7 +1117,6 @@ def _outcome(fn, *args):
 
 
 _GROUPS = enumerate_abelian_groups(10)
-_INVARIANT = sorted(n for n, c in search_mod.CHECKERS.items() if c.translation_invariant)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -1058,28 +1124,42 @@ _INVARIANT = sorted(n for n, c in search_mod.CHECKERS.items() if c.translation_i
 def test_translation_invariant_checkers_ignore_translates(data):
     # the flag claims that translating each set by an element of its own
     # leaves the runner's holds, and the slab entry's heads for the tail,
-    # unchanged over an abelian group
+    # unchanged over an abelian group; and over Z_n every checker's holds
+    # is unchanged when every set is mapped by x -> ux for a unit u, while
+    # its slab entry hands back the u-images of its heads
     a = data.draw(st.sampled_from(_GROUPS), label="ambient")
     n = a.carrier_size
-    for name in _INVARIANT:
-        chk = search_mod.CHECKERS[name]
+    heads = list(range(1 << n))
+    for name, chk in sorted(search_mod.CHECKERS.items()):
         if chk.ambient_kind not in (None, a.kind):
+            continue
+        if not chk.translation_invariant and a.kind != "zmod":
             continue
         k = chk.arity or 3  # the conjecture: a head and a tail of two sets
         masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k), label=name)
-        shifts = data.draw(st.lists(st.sampled_from(a.carrier()), min_size=k, max_size=k))
         sets = [FinSet.from_mask(a, m) for m in masks]
-        moved = [_translate(X, g) for X, g in zip(sets, shifts)]
-        assert _outcome(_holds, chk, moved) == _outcome(_holds, chk, sets), name
-        if chk.slab is not None:
-            heads = list(range(1 << n))
-            got = _outcome(chk.slab, heads, moved[1:])
-            assert got == _outcome(chk.slab, heads, sets[1:]), name
-            # the heads handed back are whole translation classes
-            if got != "skipped":
-                handed = set(got)
-                for m in handed:
-                    assert _class_of(FinSet.from_mask(a, m)) <= handed, (name, m)
+        holds = _outcome(_holds, chk, sets)
+        handed = chk.slab and _outcome(chk.slab, heads, sets[1:])
+        if chk.translation_invariant:
+            shifts = data.draw(st.lists(st.sampled_from(a.carrier()), min_size=k, max_size=k))
+            moved = [_translate(X, g) for X, g in zip(sets, shifts)]
+            assert _outcome(_holds, chk, moved) == holds, name
+            if chk.slab is not None:
+                assert _outcome(chk.slab, heads, moved[1:]) == handed, name
+                # the heads handed back are whole translation classes
+                if handed != "skipped":
+                    for m in handed:
+                        assert _class_of(FinSet.from_mask(a, m)) <= set(handed), (name, m)
+        if a.kind != "zmod":
+            continue
+        for u in _units(a):
+            scaled = [_scale(X, u) for X in sets]
+            assert _outcome(_holds, chk, scaled) == holds, (name, u)
+            if chk.slab is not None:
+                want = handed
+                if handed != "skipped":
+                    want = sorted(_scale(FinSet.from_mask(a, m), u).raw for m in handed)
+                assert _outcome(chk.slab, heads, scaled[1:]) == want, (name, u)
 
 
 def _counted_decodes(monkeypatch):

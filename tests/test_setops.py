@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -562,3 +563,26 @@ def test_least_translate_names_the_translation_class(a):
         assert cls[m] == min(masks), m
         assert members[m] == sorted(masks), m
         assert all(members[t] is members[m] for t in masks), m
+
+
+@pytest.mark.parametrize(
+    "a",
+    [make_ambient({"kind": "zmod", "n": n}) for n in (1, 2, 5, 8, 9, 12)]
+    + [_product(2, 4), _product(3, 3), fixtures.s3()],
+    ids=lambda a: str(a.describe()),
+)
+def test_unit_maps_scale_each_mask_by_a_unit(a):
+    # brute force: over Z_n the maps are m -> mask of uX for the units u of
+    # Z_n from gcd, the identity first; every other ambient gets the
+    # identity alone
+    maps = setops._unit_maps(a)
+    size = 1 << a.carrier_size
+    assert [maps[0](m) for m in range(size)] == list(range(size))
+    if a.kind != "zmod":
+        assert len(maps) == 1
+        return
+    units = [u for u in range(1, a.n) if math.gcd(u, a.n) == 1] or [0]
+    assert len(maps) == len(units)
+    for unit, u in zip(maps, units):
+        for m in range(size):
+            assert unit(m) == FinSet(a, [u * x % a.n for x in FinSet.from_mask(a, m)]).raw, (u, m)

@@ -6,7 +6,11 @@
 
 Pair i runs `bench/run.py --workload W --seed S --seconds T` once in each
 tree, the parent first in odd pairs and the change first in even pairs, so
-neither side always runs on a warmer machine.  Every run's JSON result is
+neither side always runs on a warmer machine.  Each run gets a fresh copy
+of its tree, made without .git, .hypothesis or __pycache__ and removed
+afterwards: byte-identical trees in two directories run a few percent
+apart, so a side kept in one directory would carry that directory's
+offset on every pair.  Every run's JSON result is
 appended to the --runs JSON-lines file, tagged with its side and pair, so
 an interrupted series keeps what it ran and can be summarized later.
 
@@ -22,6 +26,7 @@ import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
@@ -29,22 +34,23 @@ import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
+# what a run's copy of a tree leaves out
+LEFT_OUT = (".git", ".hypothesis", "__pycache__")
 
 
 def run_side(tree: Path, side: str, pair: int, args, runs_path: Path) -> bool:
-    """Run bench/run.py in `tree` once and append its tagged results to
-    runs_path; True when every run it made was correct."""
-    fd, tmp = tempfile.mkstemp(suffix=".jsonl")
-    os.close(fd)
-    try:
+    """Run bench/run.py once in a fresh copy of `tree` and append its
+    tagged results to runs_path; True when every run it made was correct."""
+    with tempfile.TemporaryDirectory(prefix=f"bench-{side}-") as scratch:
+        copy = Path(scratch) / "tree"
+        shutil.copytree(tree, copy, ignore=shutil.ignore_patterns(*LEFT_OUT))
+        out = Path(scratch) / "runs.jsonl"
         cmd = [
             sys.executable, "bench/run.py", "--workload", args.workload,
-            "--seed", args.seed, "--seconds", str(args.seconds), "--out", tmp,
+            "--seed", args.seed, "--seconds", str(args.seconds), "--out", str(out),
         ]
-        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-        lines = Path(tmp).read_text().splitlines()
-    finally:
-        os.unlink(tmp)
+        proc = subprocess.run(cmd, cwd=copy, capture_output=True, text=True)
+        lines = out.read_text().splitlines() if out.exists() else []
     with open(runs_path, "a") as fh:
         for line in lines:
             fh.write(json.dumps(dict(json.loads(line), side=side, pair=pair)) + "\n")
