@@ -890,13 +890,12 @@ def _entry_calls(monkeypatch, spec):
 
 
 def _orbit_walk(a, admits, translates):
-    """What the memo holds at each slab entry call of a one-set tail
-    walk over a, from the elements: tails are met in ascending mask order,
-    and the first admitted tail of each orbit, under x -> ux + g over Z_n
-    (x -> ux when translates is false) and x -> x + g elsewhere, calls the
-    entry while the memo holds a key per class of each orbit met before,
-    a class being a translation class, or a mask when translates is
-    false."""
+    """The memo's size at each slab entry call of a search whose tails are
+    one set over a, from the elements.  Tails come in ascending mask
+    order, the first admitted tail of each orbit calls the entry, and the
+    memo then holds one key per class of each orbit met before.  Orbits
+    are taken under x -> ux + g over Z_n and x -> x + g elsewhere; when
+    translates is false, under x -> ux alone, each mask its own class."""
     units = _units(a) if a.kind == "zmod" else []
     seen, held = set(), []
     for m in range(1 << a.carrier_size):
