@@ -506,6 +506,10 @@ class FreeMonoid(Ambient):
     def invert(self, x):
         return "" if x == "" else None
 
+    @property
+    def all_units(self):
+        return not self.alphabet  # the empty alphabet: the trivial group
+
     def validate(self, x):
         if not isinstance(x, str) or not self._symset.issuperset(x):
             raise ElementAmbientMismatch(f"{x!r} is not a word over {self.alphabet}")

@@ -23,22 +23,18 @@ which go through the per-instance runner like every head of the other
 checkers.  When the tail fails the checker's hypotheses the entry raises
 PreconditionViolated and every head of the slab goes to the runner.
 
-Over an abelian group, translating a set by any element changes none of
-what a translation invariant checker's slab entry reads (sizes, |X + Y|,
-gamma, the structure identity), so the heads it hands back form whole
-translation classes of heads and depend only on the translation class of
-each tail set.  Over Z_n each unit u gives an automorphism x -> ux, which
-changes no verdict of any checker, so the heads an entry hands back for
-the tail uT are the u-images of those for T.  For the ambient being walked
-the context keeps one class table, the least translate and the class of
-every carrier mask (each mask its own class for hs, which translations
-move), and a memo keyed on the classes of a tail's masks.  The entry runs
-once per orbit of tails under the units and translations, on one head per
-class of admitted heads; what it hands back is stored for every u-image of
-the tail together with u, and a tail that finds it maps each head by u
-and expands it to its class.  The runner still runs each of those heads
-against the actual tail, so counts and violations are exact.  A set is
-decoded only where a slab entry, a runner or a filter reads it.
+Over an abelian group the search reads the symmetry contract stated in
+the Checker docstring.  For the ambient being walked the context keeps one
+class table, the least translate and the class of every carrier mask, and
+a memo keyed on a tail's masks: on their classes for a translation
+invariant checker, on the masks themselves for hs.  The entry runs once
+per orbit of tails under the units of Z_n and, where flagged, the
+translations, on one head per class of admitted heads; what it hands back
+is stored for every u-image of the tail together with u, and a tail that
+finds it maps each head by u and expands it to its class.  The runner
+still runs each of those heads against the actual tail, so counts and
+violations are exact.  A set is decoded only where a slab entry, a runner
+or a filter reads it.
 
 Violations embed the full ambient description and set encodings, so
 `replay` can re-run the named checker on the exact instance with no other
@@ -91,22 +87,32 @@ class Checker:
     (None = not applicable, which is never a violation) and `to_json()`
     its JSON encoding.
 
-    A translation invariant checker gives the same `holds` on (X + y0,
-    -y0 + Y) as on (X, Y) for a unit y0 of Y, which justifies pinning the
-    identity into the last slot during exhaustive runs.  Over an abelian
-    group it also gives the same `holds` when each set is translated by
-    an element of its own, and its slab entry hands back the same heads
-    for every translate of the tail and a union of translation classes of
-    heads (given every head of those classes).  So the search runs the
-    entry once per class of tails, on one head per class, and expands the
-    heads it hands back to their classes.
+    The symmetry contract.  Every bound reads only sizes, sumsets,
+    closures and orders, so three maps leave verdicts alone, and the
+    search relies on each of them; a checker added later must keep them.
 
-    Every checker, translation invariant or not, gives the same `holds`
-    over Z_n when every set is mapped by x -> ux for a unit u, since that
-    map is an automorphism and a verdict reads only sizes, sumsets,
-    closures and orders; its slab entry hands back the u-images of the
-    heads it hands back for the unmapped tail.  The search keys its memo
-    on this over Z_n, so a checker added later must keep it.
+    - Head translation, every checker, over an abelian group (commutative,
+      with an identity and only units): mapping the head X to X + g gives
+      the same `holds`, since X + Y, X + 2Y, X u (X + Y) and X + <<Y>> all
+      move by g and the tail does not move.  So a slab entry, given every
+      head of some translation classes, hands back a union of those
+      classes.
+    - Tail translation, what `translation_invariant` adds: translating
+      each set by an element of its own gives the same `holds`, so the
+      slab entry hands back the same heads for every translate of the
+      tail.  Over any group this also gives the same `holds` on
+      (X + y0, -y0 + Y) as on (X, Y) for a unit y0 of Y, which justifies
+      pinning the identity into the last slot (symmetry reduction).  hs
+      is not flagged: (Y + g) u {0} is no translate of Y u {0}.
+    - Units, every checker, over Z_n: mapping every set by x -> ux for a
+      unit u is an automorphism, so it gives the same `holds`, and the
+      slab entry hands back, for the tail uT, the u-images of the heads it
+      hands back for T.
+
+    The class memo of the exhaustive walk (see _Context.view) runs an
+    entry once per orbit of tails under these maps, on one head per
+    translation class, and expands the heads it hands back to their
+    classes.
 
     A slab entry vouches for heads in bulk.  Given the masks of the heads
     of one exhaustive slab that the subset filter admits (slot 0, in order)
@@ -406,35 +412,31 @@ class _Context:
         the slot-0 masks the subset filter admits, in order; the slab
         entry, or None where it cannot run (it reads carrier masks, and one
         summand leaves it no tail); and None unless the class memo serves,
-        where it is (cls, members, reps, memo, units).  It serves a
-        translation invariant entry over a commutative ambient with an
-        identity and only units, where cls and members are the table of
-        setops._translation_classes, and any entry over Z_n, where an entry
-        that translations move (hs) has every mask its own class.  units
-        are the maps of setops._unit_maps, the identity alone off Z_n, and
-        reps the admitted heads least in their class.  The memo maps the
-        classes of a tail's masks to the heads the entry handed back for a
-        tail T and the map of a unit u such that uT has those classes.
-        Built when the walk enters ambient ai and replaced when it moves
-        on: segments run in ambient order, so neither an in-process walk
-        nor a forked worker returns to an ambient it has left."""
+        where it is (keys, members, reps, memo, units).  It serves every
+        entry over an abelian group (commutative, with an identity and only
+        units), by the symmetry contract in Checker's docstring.  members
+        is the class list of setops._translation_classes and reps the
+        admitted heads least in their class; keys is that table's least
+        translate for a translation invariant checker and each mask itself
+        otherwise (hs); units are the maps of setops._unit_maps, the
+        identity alone off Z_n.  The memo maps the keys of a tail's masks
+        to the heads the entry handed back for a tail T and the map of a
+        unit u such that uT has those keys.  Built when the walk enters
+        ambient ai and replaced when it moves on: segments run in ambient
+        order, so neither an in-process walk nor a forked worker returns to
+        an ambient it has left."""
         if self._view[0] != ai:
             a = self.ambients[ai]
             chk = self.checker
             heads = [m for m in self.slots[ai][0] if _admits(self, ai, 0, m)]
             entry = chk.slab if len(self.slots[ai]) > 1 and _mask_form(a) else None
-            translates = chk.translation_invariant and (
-                a.axioms.commutative and a.axioms.has_identity and a.all_units
-            )
             classes = None
-            if entry is not None and (translates or type(a) is ZMod):
-                if translates:
-                    cls, members = _translation_classes(a)
-                else:
-                    cls = range(1 << a.carrier_size)
-                    members = [[m] for m in cls]
+            ax = a.axioms
+            if entry is not None and ax.commutative and ax.has_identity and a.all_units:
+                cls, members = _translation_classes(a)
+                keys = cls if chk.translation_invariant else range(1 << a.carrier_size)
                 reps = [m for m in heads if cls[m] == m]
-                classes = (cls, members, reps, {}, _unit_maps(a))
+                classes = (keys, members, reps, {}, _unit_maps(a))
             self._view = (ai, (heads, entry, classes))
         return self._view[1]
 
@@ -503,16 +505,16 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
     of segments: a slab fixes the trailing slots and sweeps slot 0 over
     every admitted head.  Heads the filter rejects are skipped, heads the
     checker's slab entry vouches for are checked, and only the heads left
-    over go through _sweep.  Over an abelian group a translation invariant
-    entry runs once per translation class of tails, on one head per class,
-    and over Z_n any entry runs once per orbit of tails under the units.
+    over go through _sweep.  Over an abelian group an entry runs on one
+    head per translation class, once per orbit of tails under the maps of
+    the symmetry contract (Checker's docstring) that move tails.
     The tail is decoded only where the entry or the runner reads it, and
     the pending heads are decoded one at a time as the runner reaches them."""
     for ai, first, end in segments:
         a = ctx.ambients[ai]
         heads, slab_entry, classes = ctx.view(ai)
         if classes is not None:
-            cls, members, reps, memo, units = classes
+            keys, members, reps, memo, units = classes
         trailing = [(masks, len(masks)) for masks in ctx.slots[ai][1:]]
         width = len(ctx.slots[ai][0])
         for slab in range(first, end):
@@ -526,7 +528,7 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
                 continue
             tally["skipped"] += width - len(heads)
             if classes is not None:
-                key = tuple([cls[m] for m in tail])
+                key = tuple([keys[m] for m in tail])
                 if key not in memo:
                     # the filter admits whole classes of heads and the entry
                     # hands back whole classes, so each representative it
@@ -535,7 +537,7 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
                     # gets the u-images of them, the identity coming first
                     found = _vouch(slab_entry, reps, [_decode(a, m) for m in tail])
                     for unit in units:
-                        memo.setdefault(tuple([cls[unit(m)] for m in tail]), (found, unit))
+                        memo.setdefault(tuple([keys[unit(m)] for m in tail]), (found, unit))
                 found, unit = memo[key]
                 pending = sorted([m for r in found for m in members[unit(r)]])
             elif slab_entry is not None:

@@ -387,7 +387,8 @@ def check_cor_udt(X: FinSet, Y: FinSet) -> BoundReport:
     commutative <Y> over a cancellative ambient."""
     nx = len(X.elements)
     _require(nx > 0, "the bound needs a nonempty X")
-    gam, (rhs,) = _udt_rhs(Y, (nx,))
+    gam, d = _udt_rhs(Y)
+    rhs = min(gam, nx + d)
     lhs = sumset_size(X, Y)
     return BoundReport(
         holds=lhs >= rhs,
@@ -401,14 +402,12 @@ def check_cor_udt(X: FinSet, Y: FinSet) -> BoundReport:
     )
 
 
-def _udt_rhs(Y: FinSet, sizes):
-    """The hypotheses of check_cor_udt on Y, then gamma(Y) and the list of
-    right sides min(gamma(Y), k + |Y| - 1), one for each |X| = k in sizes."""
+def _udt_rhs(Y: FinSet):
+    """The hypotheses of check_cor_udt on Y, then (gamma(Y), d) with
+    d = |Y| - 1: the bound reads |X + Y| >= min(gamma(Y), |X| + d)."""
     _require(Y.ambient.axioms.cancellative, "the bound needs a cancellative ambient")
     _require(is_commutative_generated(Y), "the bound needs commutative <Y>")
-    gam = gamma_set(Y).value
-    d = len(Y.elements) - 1
-    return gam, [min(gam, k + d) for k in sizes]
+    return gamma_set(Y).value, len(Y.elements) - 1
 
 
 def slab_cor_udt(heads, tail):
@@ -417,7 +416,8 @@ def slab_cor_udt(heads, tail):
     (Y,) = tail
     a = Y.ambient
     # need[k] is the right side for |X| = k; nothing meets need[0]
-    _, need = _udt_rhs(Y, range(a.carrier_size + 1))
+    gam, d = _udt_rhs(Y)
+    need = [min(gam, k + d) for k in range(a.carrier_size + 1)]
     need[0] = INF
     col = _raw_column(a, Y.elements)
     return [m for m in heads if col[m].bit_count() < need[m.bit_count()]]

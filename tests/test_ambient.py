@@ -149,6 +149,31 @@ def test_product_axioms_compose():
     assert not noncomm.axioms.commutative
 
 
+_TRIVIAL_FM = {"kind": "free_monoid", "alphabet": []}
+# every finite kind: zmod, cayley groups, monoids and a band, the one-word
+# free monoid, and products of them
+FINITE_AMBIENTS = [make_ambient({"kind": "zmod", "n": n}) for n in (1, 2, 6)] + [
+    fixtures.s3(),
+    fixtures.d4(),
+    fixtures.q8(),
+    fixtures.left_zero_band(3),
+    make_ambient({"kind": "cayley", "table": [[i * j % 4 for j in range(4)] for i in range(4)]}),
+    make_ambient({"kind": "cayley", "table": [[i | j for j in range(4)] for i in range(4)]}),
+    make_ambient(_TRIVIAL_FM),
+    make_ambient({"kind": "product", "factors": [_TRIVIAL_FM, {"kind": "zmod", "n": 5}]}),
+    make_ambient({"kind": "product", "factors": [{"kind": "zmod", "n": 2}, {"kind": "zmod", "n": 4}]}),
+    make_ambient({"kind": "product", "factors": [fixtures.s3().describe(), _TRIVIAL_FM]}),
+    make_ambient(
+        {"kind": "product", "factors": [{"kind": "zmod", "n": 2}, fixtures.left_zero_band(2).describe()]}
+    ),
+]
+
+
+@pytest.mark.parametrize("a", FINITE_AMBIENTS, ids=lambda a: f"{a.kind}{a.carrier_size}")
+def test_all_units_says_every_element_is_a_unit(a):
+    assert a.all_units == all(a.is_unit(x) for x in a.carrier())
+
+
 def test_element_validation():
     z6 = make_ambient({"kind": "zmod", "n": 6})
     for bad in (6, -1, "3", True):

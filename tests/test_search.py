@@ -788,7 +788,7 @@ _MEMO_SPECS = [
     # two-set tails, mapped by one unit
     dict(family={"kind": "zmod_range", "lo": 1, "hi": 5}, checker="conjecture",
          n_summands=3),
-    # each tail mask its own class, under the units alone
+    # each tail mask its own key, under the units alone
     dict(family={"kind": "zmod_range", "lo": 1, "hi": 7}, checker="hs"),
     # below Z10, gamma at inf leaves every tail's pending heads fixed by each
     # unit, so only here does a head not mapped back by u drop a violation
@@ -796,6 +796,14 @@ _MEMO_SPECS = [
          subset_filter={"max_size": 4, "contains_identity": True}),
     dict(family={"kind": "zmod_range", "lo": 10, "hi": 10}, checker="hs",
          subset_filter={"max_size": 4, "contains_identity": True}),
+    # hs over a product: translation classes of heads, each tail its own key
+    dict(family={"kind": "explicit", "ambients": [_Z2Z4]}, checker="hs",
+         subset_filter={"max_size": 3}),
+    # the free monoid on no letters is the trivial group, so a product with
+    # it takes symmetry reduction and the memo like Z5 itself
+    dict(family={"kind": "explicit", "ambients": [{"kind": "product", "factors": [
+        {"kind": "free_monoid", "alphabet": []}, {"kind": "zmod", "n": 5}]}]},
+         checker="udt", symmetry_reduction=True),
 ]
 
 
@@ -910,10 +918,12 @@ def _orbit_walk(a, admits, translates):
     return held
 
 
-def test_class_memo_serves_only_abelian_groups_and_invariant_checkers(monkeypatch):
-    # no memo: one entry call per admitted tail, as without it
+def test_class_memo_serves_every_entry_over_abelian_groups(monkeypatch):
+    # no memo off abelian groups: one entry call per admitted tail, as
+    # without it
     for family, checker, flt in (
         ({"kind": "explicit", "ambients": [fixtures.s3().describe()]}, "theorem", {}),
+        ({"kind": "explicit", "ambients": [fixtures.s3().describe()]}, "hs", {}),
         ({"kind": "explicit", "ambients": [fixtures.d4().describe()]}, "udt", {}),
         ({"kind": "explicit", "ambients": [fixtures.q8().describe()]}, "udt", _NONEMPTY),
         ({"kind": "explicit", "ambients": [fixtures.left_zero_band(3).describe()]}, "udt", {}),
@@ -922,16 +932,19 @@ def test_class_memo_serves_only_abelian_groups_and_invariant_checkers(monkeypatc
         calls = _entry_calls(monkeypatch, spec)
         tails = sum((1 << a.carrier_size) - bool(flt) for a in family_ambients(family))
         assert len(calls) == tails and all(held == 0 for _, held, _ in calls), family
-    # memo: one entry call per orbit of admitted tails, across the item
-    # boundary inside Z8, under x -> ux + g over Z_n (x -> ux for hs, which
-    # translations move) and x -> x + g over products; at each call the
-    # memo holds the classes of the orbits met before
+    # memo over every abelian group: one entry call per orbit of admitted
+    # tails, across the item boundary inside Z8, under x -> ux + g over Z_n
+    # and x -> x + g over products; hs, which tail translations move, keys
+    # each tail mask itself, so over Z_n its orbits are under x -> ux and
+    # over a product each admitted tail calls the entry.  At each call the
+    # memo holds the keys of the orbits met before
     for family, checker, flt in (
         ({"kind": "zmod_range", "lo": 1, "hi": 8}, "udt", {}),
         ({"kind": "zmod_range", "lo": 1, "hi": 6}, "hs", {}),
         ({"kind": "zmod_range", "lo": 1, "hi": 7}, "hs", {"nonempty": True, "max_size": 3}),
         ({"kind": "explicit", "ambients": [_Z2Z4, _Z2_3]}, "udt", _NONEMPTY),
         ({"kind": "explicit", "ambients": [_Z3Z3]}, "udt", {"max_size": 3}),
+        ({"kind": "explicit", "ambients": [_Z2Z4, _Z2_3]}, "hs", {}),
     ):
         spec = SearchSpec(family=family, checker=checker, subset_filter=flt)
         calls = _entry_calls(monkeypatch, spec)
@@ -952,7 +965,8 @@ def test_class_memo_runs_the_entry_on_one_head_per_class(monkeypatch):
         {"kind": "explicit", "ambients": [_Z2Z4, _Z2_3, _Z3Z3]},
     ):
         for checker, flt in (("udt", _NONEMPTY), ("theorem", {"max_size": 3}),
-                             ("udt", {"nonempty": True, "max_size": 2})):
+                             ("udt", {"nonempty": True, "max_size": 2}), ("hs", {}),
+                             ("hs", {"nonempty": True, "max_size": 3})):
             spec = SearchSpec(family=family, checker=checker, subset_filter=flt)
             calls = _entry_calls(monkeypatch, spec)
             cap = flt.get("max_size", 1 << 9)
@@ -1093,15 +1107,19 @@ def test_bench_specs_keep_their_item_counts(monkeypatch):
 
 def test_bench_specs_keep_their_entry_call_counts(monkeypatch):
     # one slab entry call per orbit of tails under x -> ux + g (x -> ux for
-    # hs); a memo that serves fewer tails shows here, not only in the bench
+    # hs), each given one head per translation class of admitted heads; a
+    # memo that serves fewer tails, or hands the entry more heads, shows
+    # here, not only in the bench
     primes = {"kind": "explicit", "ambients": [{"kind": "zmod", "n": p} for p in (2, 3, 5, 7, 11)]}
-    for doc, count in (
-        (dict(family=primes, checker="udt", subset_filter=_NONEMPTY), 48),
+    for doc, count, heads in (
+        (dict(family=primes, checker="udt", subset_filter=_NONEMPTY), 48, 5642),
         (dict(family={"kind": "zmod_range", "lo": 2, "hi": 8}, checker="theorem",
-              subset_filter=_NONEMPTY), 59),
-        (dict(family={"kind": "zmod_range", "lo": 1, "hi": 8}, checker="hs"), 200),
+              subset_filter=_NONEMPTY), 59, 1205),
+        (dict(family={"kind": "zmod_range", "lo": 1, "hi": 8}, checker="hs"), 200, 4784),
     ):
-        assert len(_entry_calls(monkeypatch, SearchSpec(**doc))) == count, doc
+        calls = _entry_calls(monkeypatch, SearchSpec(**doc))
+        assert len(calls) == count, doc
+        assert sum(len(given) for _, _, given in calls) == heads, doc
 
 
 def _holds(chk, sets):
@@ -1120,35 +1138,38 @@ _GROUPS = enumerate_abelian_groups(10)
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.data())
-def test_translation_invariant_checkers_ignore_translates(data):
-    # the flag claims that translating each set by an element of its own
-    # leaves the runner's holds, and the slab entry's heads for the tail,
-    # unchanged over an abelian group; and over Z_n every checker's holds
-    # is unchanged when every set is mapped by x -> ux for a unit u, while
-    # its slab entry hands back the u-images of its heads
+def test_checkers_ignore_head_translates_and_keep_their_symmetries(data):
+    # the symmetry contract of Checker over an abelian group: translating
+    # the head alone leaves every checker's holds unchanged, and every slab
+    # entry, given every head, hands back whole translation classes of
+    # heads; the flag adds that translating each set by an element of its
+    # own leaves the runner's holds, and the slab entry's heads for the
+    # tail, unchanged; and over Z_n every checker's holds is unchanged when
+    # every set is mapped by x -> ux for a unit u, while its slab entry
+    # hands back the u-images of its heads
     a = data.draw(st.sampled_from(_GROUPS), label="ambient")
     n = a.carrier_size
     heads = list(range(1 << n))
     for name, chk in sorted(search_mod.CHECKERS.items()):
         if chk.ambient_kind not in (None, a.kind):
             continue
-        if not chk.translation_invariant and a.kind != "zmod":
-            continue
         k = chk.arity or 3  # the conjecture: a head and a tail of two sets
         masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=k, max_size=k), label=name)
         sets = [FinSet.from_mask(a, m) for m in masks]
         holds = _outcome(_holds, chk, sets)
         handed = chk.slab and _outcome(chk.slab, heads, sets[1:])
+        g = data.draw(st.sampled_from(a.carrier()), label=f"{name} head shift")
+        assert _outcome(_holds, chk, [_translate(sets[0], g), *sets[1:]]) == holds, (name, g)
+        if chk.slab is not None and handed != "skipped":
+            kept = set(handed)
+            for m in handed:
+                assert _class_of(FinSet.from_mask(a, m)) <= kept, (name, m)
         if chk.translation_invariant:
             shifts = data.draw(st.lists(st.sampled_from(a.carrier()), min_size=k, max_size=k))
             moved = [_translate(X, g) for X, g in zip(sets, shifts)]
             assert _outcome(_holds, chk, moved) == holds, name
             if chk.slab is not None:
                 assert _outcome(chk.slab, heads, moved[1:]) == handed, name
-                # the heads handed back are whole translation classes
-                if handed != "skipped":
-                    for m in handed:
-                        assert _class_of(FinSet.from_mask(a, m)) <= set(handed), (name, m)
         if a.kind != "zmod":
             continue
         for u in _units(a):
