@@ -9,6 +9,11 @@ exactly no matter how many workers execute them: an exhaustive item is a
 run of whole slabs, a random one a run of trials, and random instances
 are derived from the seed and the trial index alone.
 
+A random trial reads its own bit stream, the blake2b digests of the seed,
+the trial index and a block counter, and draws from it the ambient and
+then each set, uniformly over the masks the subset filter admits
+(cdlab.sampling, which random mode alone loads).
+
 Each run builds one search context from its spec: the one place the spec
 is validated and the ceiling checked, holding each ambient's slot masks
 and what the walk builds from them for the ambient it is in.  It is
@@ -43,7 +48,6 @@ state.
 
 import math
 import multiprocessing
-import random
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
@@ -67,7 +71,9 @@ from .setops import (
 from . import theorems
 
 DEFAULT_CEILING = 1 << 30
-# random mode draws a mask with random.getrandbits, which takes a C int
+# random mode draws a set over n elements as one integer of n bits from its
+# trial's stream: this caps the bits a single set draws (2^31 - 1 bits,
+# 256 MB), and a larger carrier is refused before its family is built
 _MAX_DRAW_BITS = (1 << 31) - 1
 # the least number of instances in an exhaustive item; an item ends at the
 # first slab boundary at or after it
@@ -332,8 +338,9 @@ def _slots(ambient: Ambient, n_summands: int, reduced: bool) -> list:
 
 
 class _Context:
-    """One search: its spec, validated, its slot masks, and the view of
-    the one ambient the walk is in.  run_search builds one per run and
+    """One search: its spec, validated, its slot masks, the view of the
+    one ambient the walk is in, and the draws of each ambient a random
+    trial has landed in.  run_search builds one per run and
     hands it to the walk, and forked workers inherit it, so nothing of one
     run outlives it."""
 
@@ -405,6 +412,9 @@ class _Context:
             if total > spec.ceiling:
                 raise _over_ceiling(total.bit_length() - 1, spec.ceiling)
             self.slots = [_slots(a, k, spec.symmetry_reduction) for a in ambients]
+        else:
+            # each ambient's draws, planned by cdlab.sampling
+            self.draws = {}
         self._view = (None, None)
 
     def view(self, ai: int) -> tuple:
@@ -550,27 +560,12 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
                 _sweep(ctx, ai, (_decode(a, m) for m in pending), sets, tally)
 
 
-def _sample_instance(ctx: _Context, index: int):
-    rng = random.Random(f"{ctx.spec.mode['seed']}:{index}")
-    ai = rng.randrange(len(ctx.ambients))
-    a = ctx.ambients[ai]
-    n = a.carrier_size
-    sets = []
-    for slot in range(ctx.spec.n_summands):
-        for _ in range(100000):
-            mask = rng.getrandbits(n)
-            if _admits(ctx, ai, slot, mask):
-                sets.append(_decode(a, mask))
-                break
-        else:
-            raise SpecInvalid("subset filters rejected 100000 straight samples")
-    return ai, sets
-
-
 def _run_random_range(ctx: _Context, start: int, end: int, tally: dict):
     """Check each trial as a slab of one head."""
+    from .sampling import sample_instance
+
     for index in range(start, end):
-        ai, sets = _sample_instance(ctx, index)
+        ai, sets = sample_instance(ctx, index)
         _sweep(ctx, ai, sets[:1], sets[1:], tally)
 
 

@@ -208,7 +208,7 @@ def _spec(**fields):
         ("gamma", "--ambient", Z6, "--x", "[0,2]", "--out",
          os.path.join(os.path.dirname(__file__), "no-such-dir", "report.json")),
         ("gamma", "--ambient", Z6, "--x", "[0,2]", "--out", os.path.dirname(__file__)),
-        # a random draw over a carrier wider than random.getrandbits takes
+        # a random draw over a carrier wider than the bits one set may draw
         ("search", "--spec", json.dumps({
             "family": {"kind": "zmod_range", "lo": 3000000000, "hi": 3000000000},
             "checker": "udt", "mode": {"kind": "random", "seed": 1, "trials": 1},

@@ -92,11 +92,11 @@ DIGESTS = [
         "40010b4cedb186bc593edd18c524cc5828fc29db587d43801e7d972465d16c3a",
     ),
     (
-        # reports nine counterexamples to the conjectured n-ary bound
+        # reports four counterexamples to the conjectured n-ary bound
         dict(family={"kind": "zmod_range", "lo": 8, "hi": 8}, checker="conjecture",
              n_summands=3, subset_filter={"nonempty": True, "max_size": 3},
              mode={"kind": "random", "seed": 5, "trials": 6000}),
-        "8f6469a66fed6049c5a34fe7f12cff044df4d07ce8e0e48702b05d8851b5ce71",
+        "c5b1db9f5fe6b0e4a132f2de5b60f50e395bd756fe2303cf875cd6be630fbfaf",
     ),
     # slabs whose tail fails the checker's hypotheses (no cancellativity,
     # or an empty Y): their skips come from the runner the search falls

@@ -20,6 +20,7 @@ from cdlab import (
 )
 from cdlab.errors import CeilingExceeded, MalformedInstance, PreconditionViolated, SpecInvalid
 from cdlab import fixtures
+from cdlab import sampling
 from cdlab import search as search_mod
 from cdlab.ambient import ZMod
 from cdlab.search import family_ambients, resolve_checker
@@ -338,6 +339,100 @@ def test_random_mode_deterministic_and_filtered():
     for v in r1.violations:
         ok, verdict = replay(v)
         assert ok is False and verdict == v["verdict"]
+
+
+def _random_spec(family, n_summands, subset_filter, trials=10, seed=5):
+    return SearchSpec(family=family, checker="conjecture", n_summands=n_summands,
+                      subset_filter=subset_filter,
+                      mode={"kind": "random", "seed": seed, "trials": trials})
+
+
+def _trial(ctx, index):
+    ai, sets = sampling.sample_instance(ctx, index)
+    return ai, [S.raw for S in sets]
+
+
+@pytest.mark.parametrize("family, subset_filter", [
+    ({"kind": "abelian_up_to_order", "max_order": 8},
+     {"nonempty": True, "max_size": 4, "contains_identity": True}),
+    # sets of about 500 and 700 elements read more than one digest of
+    # their trial's stream
+    ({"kind": "zmod_range", "lo": 1000, "hi": 1400}, {}),
+])
+def test_a_trial_depends_on_its_seed_and_index_alone(family, subset_filter):
+    indices = list(range(300))
+    first = search_mod._Context(_random_spec(family, 3, subset_filter, trials=300))
+    want = [_trial(first, i) for i in indices]
+    random.Random(4).shuffle(indices)
+    again = search_mod._Context(_random_spec(family, 3, subset_filter, trials=100000))
+    assert {i: _trial(again, i) for i in indices} == dict(enumerate(want))
+    other = search_mod._Context(_random_spec(family, 3, subset_filter, trials=300, seed=6))
+    assert [_trial(other, i) for i in range(300)] != want
+
+
+def test_a_random_report_does_not_depend_on_the_items(monkeypatch):
+    # a stream kept per item or per worker would draw other instances
+    # once the items are cut differently
+    spec = dict(family={"kind": "zmod_range", "lo": 8, "hi": 8}, checker="conjecture",
+                n_summands=3, subset_filter={"nonempty": True, "max_size": 3},
+                mode={"kind": "random", "seed": 5, "trials": 3000})
+    default = run_search(SearchSpec(**spec))
+    monkeypatch.setattr(search_mod, "_CHUNK_RANDOM", 37)
+    cut = run_search(SearchSpec(**spec))
+    assert len(cut.per_item) == -(-3000 // 37) > len(default.per_item)
+    assert default.violations
+    for key in ("instances_checked", "instances_skipped", "violations"):
+        assert getattr(cut, key) == getattr(default, key), key
+
+
+@pytest.mark.parametrize("family, subset_filter", [
+    ({"kind": "zmod_range", "lo": 4, "hi": 4}, {"nonempty": True, "max_size": 2}),
+    ({"kind": "zmod_range", "lo": 5, "hi": 5}, {"contains_identity": True, "max_size": 3}),
+    ({"kind": "zmod_range", "lo": 3, "hi": 3}, {"nonempty": True, "contains_identity": True}),
+    ({"kind": "explicit", "ambients": [fixtures.s3().describe()]},
+     {"commutative_generated": True, "max_size": 2}),
+    ({"kind": "zmod_range", "lo": 2, "hi": 4}, {"nonempty": True}),
+])
+def test_random_draws_are_uniform_over_the_admitted_masks(family, subset_filter):
+    # _admits, the filter of the exhaustive walk, is the oracle: a trial
+    # picks each ambient at 1/|ambients|, and then each slot hits every
+    # mask it admits there, and only those, at 1/|admitted| each
+    trials = 30000
+    ctx = search_mod._Context(_random_spec(family, 2, subset_filter, trials))
+    counts = {}
+    for i in range(trials):
+        ai, masks = _trial(ctx, i)
+        for slot, m in enumerate(masks):
+            counts[ai, slot, m] = counts.get((ai, slot, m), 0) + 1
+    for ai, a in enumerate(ctx.ambients):
+        for slot in (0, 1):
+            admitted = [m for m in range(1 << a.carrier_size)
+                        if search_mod._admits(ctx, ai, slot, m)]
+            assert sorted(m for i, s, m in counts if (i, s) == (ai, slot)) == admitted
+            expected = trials / len(ctx.ambients) / len(admitted)
+            for m in admitted:
+                assert abs(counts[ai, slot, m] / expected - 1) < 0.2, (ai, slot, m)
+
+
+def test_random_draws_small_sets_over_a_large_carrier():
+    # drawn by rejection, a set of at most 4 of 40 elements came up about
+    # once in 10^7 draws, so this spec used to exhaust the 100,000 draws
+    spec = dict(family={"kind": "zmod_range", "lo": 40, "hi": 40}, checker="theorem",
+                subset_filter={"max_size": 4}, mode={"kind": "random", "seed": 1, "trials": 500})
+    report = run_search(SearchSpec(**spec))
+    assert report.instances_checked + report.instances_skipped == 500
+    ctx = search_mod._Context(SearchSpec(**spec))
+    sizes = {len(S) for i in range(500) for S in sampling.sample_instance(ctx, i)[1]}
+    assert max(sizes) == 4
+
+
+@pytest.mark.parametrize("subset_filter", [
+    {"nonempty": True, "max_size": 0},
+    {"contains_identity": True, "max_size": 0},
+])
+def test_a_random_filter_admitting_no_set_fails_at_once(subset_filter):
+    with pytest.raises(SpecInvalid, match="subset filters admit no set"):
+        run_search(_random_spec({"kind": "zmod_range", "lo": 3, "hi": 3}, 2, subset_filter))
 
 
 def test_symmetry_reduction_soundness():
