@@ -124,17 +124,26 @@ def _inf_order(a, raw, x0) -> ExtNat:
 
 def gamma_tuple(Xs) -> ExtNat:
     """Constant of a tuple: 0 when any component is empty, else the max of
-    the component constants."""
+    the component constants.  One pass: past an empty component no
+    constant is read, but every ambient is still checked, so a mismatch
+    raises AmbientMismatch before an empty set makes the constant 0."""
     Xs = list(Xs)
     if not Xs:
         raise ValueError("gamma_tuple needs at least one set")
     first = Xs[0].ambient
-    for X in Xs[1:]:
-        if X.ambient != first:
+    best: ExtNat = 0
+    empty = False
+    for X in Xs:
+        a = X.ambient
+        if a is not first and a != first:
             raise AmbientMismatch("tuple components live in different ambients")
-    if any(not X.elements for X in Xs):
-        return 0
-    return max(gamma_set(X).value for X in Xs)
+        if not X.raw:
+            empty = True
+        elif not empty:
+            g = _gamma(a, X.raw).value
+            if g > best:
+                best = g
+    return 0 if empty else best
 
 
 def min_order(Y: FinSet) -> ExtNat:

@@ -31,14 +31,18 @@ class TrialBits:
     __slots__ = ("key", "block", "bits", "left")
 
     def __init__(self, seed: int, index: int):
-        self.key = b"%d:%d:" % (seed, index)
-        self.block = self.bits = self.left = 0
+        # every trial reads block 0, for its ambient index if nothing else
+        self.key = key = b"%d:%d:" % (seed, index)
+        self.bits = int.from_bytes(hashlib.blake2b(key + b"0").digest(), "little")
+        self.block = 1
+        self.left = 512
 
     def below(self, n: int) -> int:
         """A uniform integer in [0, n), by rejection on (n - 1).bit_length()
         bits: every draw of a trial, ambient index and masks, comes from
         here."""
         k = (n - 1).bit_length()
+        low = (1 << k) - 1
         while True:
             if self.left < k:
                 data = bytearray()
@@ -47,7 +51,7 @@ class TrialBits:
                 self.block = b + 1
                 self.bits |= int.from_bytes(data, "little") << self.left
                 self.left += 8 * len(data)
-            r = self.bits & ((1 << k) - 1)
+            r = self.bits & low
             self.bits >>= k
             self.left -= k
             if r < n:
@@ -134,7 +138,12 @@ def sample_instance(ctx, index: int):
         draws = ctx.draws[ai] = [plan(ctx, ai, False)] * (k - 1) + [plan(ctx, ai, True)]
     sets = []
     for slot, d in enumerate(draws):
-        if d.generated:
+        if d.sizes is None and d.forced is None and not d.generated:
+            # the common draw, draw_mask's first branch without the call
+            mask = bits.below(1 << d.m)
+            while not mask and d.nonempty:
+                mask = bits.below(1 << d.m)
+        elif d.generated:
             # the filter's own test decodes the set
             for _ in range(100000):
                 mask = draw_mask(bits, d)

@@ -59,6 +59,11 @@ def test_gamma_tuple_examples():
     assert gamma_tuple([FinSet(Z5, [2]), FinSet(Z5, [3])]) == 1
     with pytest.raises(AmbientMismatch):
         gamma_tuple([FinSet(Z5, [0]), FinSet(Z6, [0])])
+    # a mismatch wins over the 0 of an empty set, wherever the empty set is
+    with pytest.raises(AmbientMismatch):
+        gamma_tuple([FinSet(Z5, []), FinSet(Z6, [0])])
+    with pytest.raises(AmbientMismatch):
+        gamma_tuple([FinSet(Z5, [0]), FinSet(Z5, []), FinSet(Z6, [])])
 
 
 def test_gamma_matches_brute_force():

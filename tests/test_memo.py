@@ -120,7 +120,9 @@ def test_gamma_column_is_gamma_of_each_mask():
             assert gamma._gamma(a, m) == want, (a.describe(), m)
 
 
-@pytest.mark.parametrize("name", ["check_prop_equiv", "check_weaker_bound", "slab_conjecture"])
+@pytest.mark.parametrize(
+    "name", ["check_prop_equiv", "check_weaker_bound", "slab_conjecture", "conjecture_holds"]
+)
 def test_warm_lookups_decode_nothing(monkeypatch, name):
     # every FinSet lists its members through setops._elements, so a memo
     # keyed on a raw set is read warm without one being built
@@ -130,7 +132,12 @@ def test_warm_lookups_decode_nothing(monkeypatch, name):
     calls = []
     for _ in range(40):
         X, Y = (FinSet.from_mask(a, rng.randrange(1, 1 << 10)) for _ in range(2))
-        calls.append((range(1 << 10), [Y]) if name == "slab_conjecture" else (X, Y))
+        if name == "slab_conjecture":
+            calls.append((range(1 << 10), [Y]))
+        elif name == "conjecture_holds":
+            calls.append(([X, Y, X],))
+        else:
+            calls.append((X, Y))
     for args in calls:
         fn(*args)
     decoded = []

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -433,6 +434,38 @@ def test_random_draws_small_sets_over_a_large_carrier():
 def test_a_random_filter_admitting_no_set_fails_at_once(subset_filter):
     with pytest.raises(SpecInvalid, match="subset filters admit no set"):
         run_search(_random_spec({"kind": "zmod_range", "lo": 3, "hi": 3}, 2, subset_filter))
+
+
+# sha256 of "ai:mask,mask,...;" over the first 2,000 trials: a sampler
+# that draws any other set, however uniform, fails here
+_DRAW_PINS = [
+    # criterion 8's random spec
+    (dict(family={"kind": "abelian_up_to_order", "max_order": 10}, checker="conjecture",
+          n_summands=3, subset_filter={"nonempty": True},
+          mode={"kind": "random", "seed": 2014, "trials": 100_000}),
+     "b3aec059a1807278639ea80ed0e7a5b7c1ae88113fbd46921938bdf9a090785d"),
+    # sizes picked by weight, then Floyd's t-subsets
+    (dict(family={"kind": "zmod_range", "lo": 40, "hi": 40}, checker="theorem",
+          subset_filter={"max_size": 4}, mode={"kind": "random", "seed": 1, "trials": 2000}),
+     "ed526afc1622b73a051f84d559ac9690e250979ea9519cb749a603fd24a7ebe7"),
+    # the identity bit set, not drawn, on the last slot
+    (dict(family={"kind": "zmod_range", "lo": 5, "hi": 5}, checker="conjecture", n_summands=3,
+          subset_filter={"contains_identity": True, "max_size": 3},
+          mode={"kind": "random", "seed": 5, "trials": 2000}),
+     "33d69b427612357fc8005afbadaca76703bb57eb8de054b87a484e954f7cc5e3"),
+]
+
+
+@pytest.mark.parametrize("spec, digest", _DRAW_PINS, ids=["criterion8", "z40", "z5"])
+def test_random_draws_are_pinned(spec, digest):
+    # the report digests of most random specs carry counts only, so they
+    # cannot tell which sets were drawn; this pins the draws themselves
+    ctx = search_mod._Context(SearchSpec(**spec))
+    h = hashlib.sha256()
+    for i in range(2000):
+        ai, masks = _trial(ctx, i)
+        h.update(b"%d:%s;" % (ai, b",".join(b"%d" % m for m in masks)))
+    assert h.hexdigest() == digest
 
 
 def test_symmetry_reduction_soundness():

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -16,6 +17,7 @@ from cdlab import (
     davenport_transform,
     delta_y,
     descent,
+    enumerate_abelian_groups,
     gamma_set,
     make_ambient,
     min_order,
@@ -302,6 +304,43 @@ def test_conjecture_three_summand_counterexample_is_reported():
     for i in range(3):
         for j in range(3):
             assert conjecture_holds([sets[i], sets[j]]).holds
+
+
+def _oracle_conjecture(a, sets):
+    """The verdict of conjecture_holds from the definitions: the sumset
+    folded pair by pair, the max of the brute-force constants, or 0 when a
+    set is empty."""
+    acc = set(sets[0].elements)
+    for S in sets[1:]:
+        acc = oracles.naive_sumset(a, acc, S.elements)
+    sizes = [len(S.elements) for S in sets]
+    gam = 0 if not all(sizes) else max(oracles.brute_gamma(a, S.elements) for S in sets)
+    additive = sum(sizes) + 1 - len(sets)
+    rhs = int(min(gam, additive))
+    return {
+        "holds": len(acc) >= rhs,
+        "lhs": len(acc),
+        "rhs": rhs,
+        "status": "checked",
+        "detail": {
+            "gamma_tuple": "inf" if gam == INF else gam,
+            "sizes": sizes,
+            "additive_side": additive,
+        },
+    }
+
+
+@pytest.mark.parametrize("a", enumerate_abelian_groups(10), ids=lambda a: json.dumps(a.describe()))
+def test_conjecture_runner_matches_the_oracles(a):
+    rng = random.Random(f"conjecture:{a.describe()}")
+    n = a.carrier_size
+    for _ in range(60):
+        k = rng.randint(1, 4)
+        masks = [0 if rng.random() < 0.15 else rng.randrange(1 << n) for _ in range(k)]
+        sets = [FinSet.from_mask(a, m) for m in masks]
+        doc = conjecture_holds(sets).to_json()
+        assert list(doc["detail"]) == ["gamma_tuple", "sizes", "additive_side"]
+        assert json.dumps(doc) == json.dumps(_oracle_conjecture(a, sets)), masks
 
 
 def test_hs_dominates_older_group_bound():
