@@ -606,6 +606,38 @@ class Product(Ambient):
     def _carrier(self):
         return tuple(_cartesian(*(f.carrier() for f in self.factors)))
 
+    @cached_property
+    def _steps(self):
+        """How each carrier element y translates carrier masks when every
+        factor is zmod, else None: one (up, hi, down, lo) per factor j with
+        y_j != 0, and m + y_j in factor j is (m << up) & hi | (m >> down) & lo.
+        The carrier is row-major, so with factor j's stride s and size n a
+        digit below n - y_j moves up by y_j s, to the indices hi whose j-th
+        digit is at least y_j, and the others wrap down by (n - y_j) s, to
+        the indices lo whose j-th digit is below y_j."""
+        if not all(type(f) is ZMod for f in self.factors):
+            return None
+        carrier = self.carrier()
+        full = (1 << len(carrier)) - 1
+        stride = len(carrier)
+        per_factor = []
+        for j, f in enumerate(self.factors):
+            n = f.n
+            stride //= n
+            at = [0] * n  # the indices whose j-th digit is d, by d
+            for i, x in enumerate(carrier):
+                at[x[j]] |= 1 << i
+            steps = [None]
+            hi = full
+            for v in range(1, n):
+                hi &= ~at[v - 1]
+                steps.append((v * stride, hi, (n - v) * stride, full & ~hi))
+            per_factor.append(steps)
+        return {
+            x: tuple([steps[d] for steps, d in zip(per_factor, x) if d])
+            for x in carrier
+        }
+
     def encode(self, x):
         return [f.encode(a) for f, a in zip(self.factors, x)]
 

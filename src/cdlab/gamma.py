@@ -8,7 +8,9 @@ a unit.  Values are exact; there is no estimation fallback.
 
 Orders are read, not walked, once known: a mask-form ambient of at most
 TABLE_CAP elements has one order table, built from ord_elem on the first
-constant asked of it, and every other ambient, infinite ones included,
+constant asked of it, which also holds, for each element x0, the masks of
+the x with ord(x - x0) = o, so the inner infimum is a few mask tests with
+no inverse and no sumset.  Every other ambient, infinite ones included,
 memoizes ord_elem per element.  Constants are memoized per ambient and
 raw set, so a caller holding only a mask reads one without decoding it.
 
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .ambient import TABLE_CAP
+from .ambient import TABLE_CAP, ZMod
 from .errors import (
     AmbientMismatch,
     EmptySet,
@@ -83,15 +85,34 @@ def _gamma(a, raw) -> GammaValue:
 
 @lru_cache(maxsize=MEMO_SIZE)
 def _order_levels(a) -> tuple:
-    """The order table of a mask-form ambient of at most TABLE_CAP
-    elements: the identity bit, and for each order o in ascending order
-    the carrier mask of the elements of order o.  The cap is the index
-    table's: building enumerates every orbit, about n^2 adds over Z_n."""
+    """(levels, rows), the order table of a mask-form ambient of at most
+    TABLE_CAP elements.  levels lists, for each order o in ascending order,
+    the pair (o, L_o) of o and the carrier mask L_o of the elements of
+    order o.  rows[i] lists, in ascending order o, the pairs
+    (o, (L_o + x_i) without bit i) whose mask is not empty, for the i-th
+    carrier element x_i.  For a unit x_i, x -> x - x_i maps L_o + x_i onto
+    L_o and x_i to the identity, so rows[i] holds the x != x_i of each
+    order ord(x - x_i), over a non-abelian table as well (L_o is closed
+    under conjugation, so its left and right translates by a unit are
+    equal).  The cap is the index table's: building enumerates every
+    orbit, about n^2 adds over Z_n, and the rows translate each level once
+    per element (a rotation over zmod)."""
+    carrier = a.carrier()
     levels = {}
-    for i, x in enumerate(a.carrier()):
+    for i, x in enumerate(carrier):
         o = ord_elem(a, x)
         levels[o] = levels.get(o, 0) | (1 << i)
-    return 1 << a.index_of(a.identity), tuple(sorted(levels.items()))
+    levels = tuple(sorted(levels.items()))
+    if type(a) is ZMod:
+        n, full = a.n, (1 << a.n) - 1
+        images = [[(L << i | L >> (n - i)) & full for _, L in levels] for i in range(n)]
+    else:
+        images = [[_raw_sumset(a, L, (x,)) for _, L in levels] for x in carrier]
+    rows = tuple(
+        tuple([(o, r) for (o, _), t in zip(levels, ts) if (r := t & ~(1 << i))])
+        for i, ts in enumerate(images)
+    )
+    return levels, rows
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -102,17 +123,16 @@ def _elem_ord(a, x) -> ExtNat:
 
 def _inf_order(a, raw, x0) -> ExtNat:
     """inf over the x in raw set `raw` other than x0 of ord(x - x0), for a
-    unit x0: the inner infimum of the constant."""
-    neg = a.invert(x0)
+    unit x0: the inner infimum of the constant.  Over an ambient with an
+    order table it is the first order whose row of x0 meets `raw`."""
     if type(raw) is int:
         if a.carrier_size <= TABLE_CAP:
-            ident_bit, levels = _order_levels(a)
-            diffs = _raw_sumset(a, raw, (neg,)) & ~ident_bit
-            for o, level in levels:
-                if diffs & level:
+            for o, row in _order_levels(a)[1][a.index_of(x0)]:
+                if raw & row:
                     return o
             return INF
         raw = _elements(a, raw)  # zmod above the cap
+    neg = a.invert(x0)
     inner: ExtNat = INF
     for x in raw:
         if x != x0:

@@ -475,13 +475,13 @@ def _admits(ctx: _Context, ai: int, slot: int, mask: int) -> bool:
     return not ctx.f_commutative or is_commutative_generated(_decode(a, mask))
 
 
-def _sweep(ctx: _Context, ai: int, heads, tail: list, tally: dict):
-    """Run the checker on (X, *tail) for every X of the iterable heads, in
-    order, and add the outcomes to the item's tally."""
+def _sweep(ctx: _Context, instances, tally: dict):
+    """Run the checker on the sets of every (ambient index, sets) pair of
+    the iterable instances, in order, and add the outcomes to the item's
+    tally."""
     run = ctx.checker.run
     checked = skipped = 0
-    for X in heads:
-        sets = [X, *tail]
+    for ai, sets in instances:
         try:
             verdict = run(sets)
         except PreconditionViolated:
@@ -557,16 +557,14 @@ def _run_exhaustive_range(ctx: _Context, segments: list, tally: dict):
             tally["checked"] += len(heads) - len(pending)
             if pending:
                 sets = [_decode(a, m) for m in tail]
-                _sweep(ctx, ai, (_decode(a, m) for m in pending), sets, tally)
+                _sweep(ctx, ((ai, [_decode(a, m), *sets]) for m in pending), tally)
 
 
 def _run_random_range(ctx: _Context, start: int, end: int, tally: dict):
-    """Check each trial as a slab of one head."""
+    """Check the trials [start, end) in one sweep."""
     from .sampling import sample_instance
 
-    for index in range(start, end):
-        ai, sets = sample_instance(ctx, index)
-        _sweep(ctx, ai, sets[:1], sets[1:], tally)
+    _sweep(ctx, (sample_instance(ctx, index) for index in range(start, end)), tally)
 
 
 def _run_item(ctx: _Context, item: int, work):

@@ -334,9 +334,9 @@ def test_no_order_table_without_units():
 
 @pytest.mark.parametrize("a", ABELIAN, ids=lambda a: repr(a.describe()))
 def test_order_table_entries_match_the_formula(a):
-    ident_bit, levels = gamma._order_levels(a)
+    levels, _ = gamma._order_levels(a)
     carrier = a.carrier()
-    assert ident_bit == 1 << carrier.index(a.identity)
+    assert levels[0] == (1, 1 << carrier.index(a.identity))
     assert [o for o, _ in levels] == sorted({o for o, _ in levels})
     covered = 0
     for o, level in levels:
@@ -346,6 +346,26 @@ def test_order_table_entries_match_the_formula(a):
             if level >> i & 1:
                 assert oracles.formula_ord(a, x) == o
     assert covered == (1 << len(carrier)) - 1
+
+
+@pytest.mark.parametrize(
+    "a", ABELIAN + [fixtures.s3(), fixtures.d4(), fixtures.q8()], ids=lambda a: repr(a.describe())
+)
+def test_order_rows_hold_the_elements_at_each_difference_order(a):
+    # brute force: rows[i] lists, in ascending order o, the x != x_i with
+    # ord(x - x_i) = o, differences taken on the right as in the constant
+    _, rows = gamma._order_levels(a)
+    orders = _orbit_orders(a)
+    carrier = a.carrier()
+    assert len(rows) == len(carrier)
+    for i, x0 in enumerate(carrier):
+        neg = a.invert(x0)
+        want = {}
+        for j, x in enumerate(carrier):
+            if j != i:
+                o = orders[a.add(x, neg)]
+                want[o] = want.get(o, 0) | 1 << j
+        assert list(rows[i]) == sorted(want.items()), x0
 
 
 def test_normalize_pair_matches_a_kappa_brute_force():

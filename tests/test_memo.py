@@ -10,7 +10,17 @@ from pathlib import Path
 import pytest
 
 import cdlab
-from cdlab import FinSet, SearchSpec, fixtures, gamma, make_ambient, run_search, setops, theorems
+from cdlab import (
+    FinSet,
+    SearchSpec,
+    fixtures,
+    gamma,
+    make_ambient,
+    run_search,
+    search,
+    setops,
+    theorems,
+)
 from cdlab.setops import MEMO_SIZE
 
 MODULES = [
@@ -120,24 +130,38 @@ def test_gamma_column_is_gamma_of_each_mask():
             assert gamma._gamma(a, m) == want, (a.describe(), m)
 
 
+WARM_AMBIENTS = [
+    make_ambient({"kind": "zmod", "n": 10}),
+    make_ambient(
+        {"kind": "product", "factors": [{"kind": "zmod", "n": 2}, {"kind": "zmod", "n": 4}]}
+    ),
+]
+
+
 @pytest.mark.parametrize(
     "name", ["check_prop_equiv", "check_weaker_bound", "slab_conjecture", "conjecture_holds"]
 )
 def test_warm_lookups_decode_nothing(monkeypatch, name):
     # every FinSet lists its members through setops._elements, so a memo
-    # keyed on a raw set is read warm without one being built
-    a = make_ambient({"kind": "zmod", "n": 10})
+    # keyed on a raw set is read warm without one being built; theorems
+    # and gamma import _elements by name, so each module's binding is
+    # counted.  The conjecture slab entry decodes its folded tail once per
+    # call, for the column, and nothing else.
     rng = random.Random(f"warm:{name}")
     fn = getattr(theorems, name)
     calls = []
-    for _ in range(40):
-        X, Y = (FinSet.from_mask(a, rng.randrange(1, 1 << 10)) for _ in range(2))
-        if name == "slab_conjecture":
-            calls.append((range(1 << 10), [Y]))
-        elif name == "conjecture_holds":
-            calls.append(([X, Y, X],))
-        else:
-            calls.append((X, Y))
+    expected = []
+    for a in WARM_AMBIENTS:
+        size = a.carrier_size
+        for _ in range(40):
+            X, Y = (FinSet.from_mask(a, rng.randrange(1, 1 << size)) for _ in range(2))
+            if name == "slab_conjecture":
+                calls.append((range(1 << size), [Y]))
+                expected.append(Y.raw)
+            elif name == "conjecture_holds":
+                calls.append(([X, Y, X],))
+            else:
+                calls.append((X, Y))
     for args in calls:
         fn(*args)
     decoded = []
@@ -147,7 +171,37 @@ def test_warm_lookups_decode_nothing(monkeypatch, name):
         decoded.append(raw)
         return real(a, raw)
 
-    monkeypatch.setattr(setops, "_elements", counted)
+    bound = [mod for mod in MODULES if getattr(mod, "_elements", None) is real]
+    assert {mod.__name__ for mod in bound} >= {"cdlab.setops", "cdlab.theorems", "cdlab.gamma"}
+    for mod in bound:
+        monkeypatch.setattr(mod, "_elements", counted)
     for args in calls:
         fn(*args)
-    assert decoded == []
+    assert decoded == expected
+
+
+def test_random_search_builds_no_index_table_over_zmod_products(monkeypatch):
+    # products of zmod factors translate masks factor by factor
+    # (Product._steps), so no index table is built for them
+    built = []
+    enumerate_groups = search.enumerate_abelian_groups
+
+    def recorded(top):
+        built.extend(enumerate_groups(top))
+        return built
+
+    monkeypatch.setattr(search, "enumerate_abelian_groups", recorded)
+    run_search(
+        SearchSpec(
+            family={"kind": "abelian_up_to_order", "max_order": 10},
+            checker="conjecture",
+            n_summands=3,
+            subset_filter={"nonempty": True},
+            mode={"kind": "random", "seed": 27, "trials": 4000},
+        )
+    )
+    products = [a for a in built if a.kind == "product"]
+    assert len(products) == 4
+    for a in products:
+        assert a._steps is not None
+        assert "_table" not in a.__dict__, a.describe()

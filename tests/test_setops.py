@@ -586,3 +586,56 @@ def test_unit_maps_scale_each_mask_by_a_unit(a):
     for unit, u in zip(maps, units):
         for m in range(size):
             assert unit(m) == FinSet(a, [u * x % a.n for x in FinSet.from_mask(a, m)]).raw, (u, m)
+
+
+def _oracle_mask(a, elems):
+    idx = a.index_of
+    return sum(1 << idx(z) for z in elems)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [_product(2, 2), _product(2, 4), _product(4, 2), _product(2, 2, 2), _product(3, 3)],
+    ids=["Z2xZ2", "Z2xZ4", "Z4xZ2", "Z2xZ2xZ2", "Z3xZ3"],
+)
+def test_product_kernel_matches_the_naive_sumset_on_every_pair(a):
+    # X + Y is the union of x + Y over x in X, each x + Y from the naive
+    # double loop; the kernel translates masks factor by factor
+    assert a._steps is not None
+    carrier = a.carrier()
+    size = 1 << len(carrier)
+    for my in range(size):
+        ys = FinSet.from_mask(a, my).elements
+        single = [_oracle_mask(a, oracles.naive_sumset(a, [x], ys)) for x in carrier]
+        want = [0] * size
+        for mx in range(1, size):
+            low = mx & -mx
+            want[mx] = want[mx ^ low] | single[low.bit_length() - 1]
+        got = [setops._raw_sumset(a, mx, ys) for mx in range(size)]
+        assert got == want, ys
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        _product(2, 6),
+        _product(2, 3, 2),
+        _product(*[2] * 9),
+        make_ambient({"kind": "product", "factors": [fixtures.s3().describe(), {"kind": "zmod", "n": 2}]}),
+    ],
+    ids=["Z2xZ6", "Z2xZ3xZ2", "Z2^9", "S3xZ2"],
+)
+def test_product_kernel_matches_the_naive_sumset_on_seeded_pairs(a):
+    # Z2^9 sits at the table cap; S3 x Z2 has a non-zmod factor and stays
+    # on the index table.  Densities from sparse to full reach both the
+    # early exit on a full result and the sums that stop short of it
+    assert (a._steps is None) == (a.factors[0].kind == "cayley")
+    assert type(FinSet.from_mask(a, 1).raw) is int
+    rng = random.Random(27)
+    carrier = a.carrier()
+    for _ in range(200):
+        px = rng.choice((0.02, 0.1, 0.3, 0.7, 1.0))
+        xs = [x for x in carrier if rng.random() < px]
+        ys = rng.sample(carrier, rng.choice((1, 2, 3, 5, 12)))
+        want = _oracle_mask(a, oracles.naive_sumset(a, xs, ys))
+        assert setops._raw_sumset(a, _oracle_mask(a, xs), ys) == want
