@@ -47,7 +47,8 @@ state.
 """
 
 import math
-import multiprocessing
+import os
+import pickle
 import time
 from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
@@ -576,19 +577,65 @@ def _run_item(ctx: _Context, item: int, work):
     return tally
 
 
-# the context of the search a forked worker works for, set by the pool's
-# initializer in that worker only; run_search passes its context to an
-# in-process walk as an argument
-_worker_ctx = None
+def _run_forked(ctx: _Context, work: list, workers: int) -> list:
+    """The tallies of every item of `work`, in item order, run on `workers`
+    processes.  The items are cut into min(workers, len(work)) contiguous
+    runs; one child is forked per run after the first and the parent runs
+    the first itself, so a process builds the view of an ambient once and
+    only for the ambients its run reaches.  A child sends its tallies, or
+    the exception it raised, pickled through its own pipe and leaves
+    through os._exit.  A child that dies before it has sent them raises
+    RuntimeError; a child's exception is raised again here with its own
+    type.  No child outlives the call: whatever the parent raises, the
+    children still running are killed and reaped."""
+    jobs = list(enumerate(work))
+    n = min(workers, len(jobs)) or 1
+    runs = [jobs[k * len(jobs) // n : (k + 1) * len(jobs) // n] for k in range(n)]
+    children = []  # (pid, read end), in run order, until reaped
+    try:
+        for run in runs[1:]:
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(r)
+                    try:
+                        out = pickle.dumps([_run_item(ctx, *job) for job in run])
+                    except BaseException as exc:
+                        out = pickle.dumps(exc)
+                    with open(w, "wb") as fh:
+                        fh.write(out)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, r))
+        results = [_run_item(ctx, *job) for job in runs[0]]
+        while children:
+            pid, r = children[0]
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            os.close(r)
+            if status:
+                raise RuntimeError(
+                    f"search worker {pid} ended without its results (wait status {status})"
+                )
+            out = pickle.loads(data)
+            if isinstance(out, BaseException):
+                raise out
+            results.extend(out)
+        return results
+    finally:
+        if children:
+            import signal  # loaded only where a run fails
 
-
-def _start_worker(ctx: _Context):
-    global _worker_ctx
-    _worker_ctx = ctx
-
-
-def _run_worker_item(job):
-    return _run_item(_worker_ctx, *job)
+            for pid, r in children:
+                os.close(r)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 # -- driver -------------------------------------------------------------------------
@@ -628,6 +675,12 @@ def run_search(spec: SearchSpec) -> SearchReport:
     space into items, run them on the requested number of workers, and
     merge the results in item order.
 
+    The workers are this process and one forked child per further run of
+    items (_run_forked): with one worker or one item nothing is forked.  A
+    child that dies fails the search with RuntimeError at once, a child's
+    exception is raised here with its own type, and no child outlives the
+    call.
+
     A random item is a run of _CHUNK_RANDOM trials.  An exhaustive item is
     a run of whole slabs, possibly across ambients: it closes at the first
     slab boundary where it holds at least _CHUNK_EXHAUSTIVE instances, so
@@ -656,12 +709,7 @@ def run_search(spec: SearchSpec) -> SearchReport:
         trials = spec.mode["trials"]
         starts = range(0, trials, _CHUNK_RANDOM)
         work = [(start, min(start + _CHUNK_RANDOM, trials)) for start in starts]
-    if spec.workers == 1 or len(work) <= 1:
-        results = [_run_item(ctx, item, w) for item, w in enumerate(work)]
-    else:
-        mp = multiprocessing.get_context("fork")
-        with mp.Pool(min(spec.workers, len(work)), _start_worker, (ctx,)) as pool:
-            results = pool.map(_run_worker_item, enumerate(work))
+    results = _run_forked(ctx, work, spec.workers)
     violations = []
     checked = skipped = 0
     per_item = []

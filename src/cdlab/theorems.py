@@ -593,12 +593,14 @@ def slab_conjecture(heads, tail):
     whose sumset reaches the additive side needs no gamma; the others
     compare it with max(gamma(X1), gamma of the tail parts), reading
     gamma(X1) from the gamma memo by its mask; gamma of the tuple is 0
-    when a set is empty."""
+    when a set is empty.  A one-set tail is its own fold, whose
+    elements it already lists."""
     a = tail[0].ambient
     _conjecture_require(a)
     if not all(tail):
         return []  # gamma of the tuple is 0, which every sumset meets
-    col = _raw_column(a, _elements(a, _fold(a, tail)))
+    ys = tail[0].elements if len(tail) == 1 else _elements(a, _fold(a, tail))
+    col = _raw_column(a, ys)
     base = sum(len(X.elements) for X in tail) - len(tail)
     gam = max(gamma_set(X).value for X in tail)
     return [

@@ -4,9 +4,14 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
-import types
+import signal
+import subprocess
+import sys
+import time
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,28 +291,17 @@ def test_determinism_across_runs_and_workers():
 
 
 def test_pool_starts_no_more_workers_than_items(monkeypatch):
-    # a fake fork context records each pool's process count, runs its
-    # initializer and maps inline, so no process starts; the report still
-    # records spec.workers
-    sizes = []
+    # the parent runs the first run of items itself and forks one child per
+    # further run, so a two-item spec forks once at any worker count above
+    # one and never at one; the report still records spec.workers
+    forks = []
+    real_fork = search_mod.os.fork
 
-    class Pool:
-        def __init__(self, processes, initializer, initargs):
-            sizes.append(processes)
-            initializer(*initargs)
+    def fork():
+        forks.append(1)
+        return real_fork()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, payloads):
-            return [fn(p) for p in payloads]
-
-    fork = types.SimpleNamespace(Pool=Pool)
-    monkeypatch.setattr(search_mod, "_worker_ctx", None)
-    monkeypatch.setattr(search_mod.multiprocessing, "get_context", lambda method: fork)
+    monkeypatch.setattr(search_mod.os, "fork", fork)
     for doc in (
         # two exhaustive items, and two random ones
         dict(family={"kind": "zmod_range", "lo": 2, "hi": 8}, checker="theorem",
@@ -315,9 +309,13 @@ def test_pool_starts_no_more_workers_than_items(monkeypatch):
         dict(family={"kind": "zmod_range", "lo": 2, "hi": 6}, checker="udt",
              mode={"kind": "random", "seed": 3, "trials": 5000}),
     ):
-        sizes.clear()
-        reports = {w: run_search(SearchSpec(**doc, workers=w)) for w in (1, 2, 8)}
-        assert sizes == [2, 2], doc
+        reports, counts = {}, []
+        for w in (1, 2, 8):
+            forks.clear()
+            reports[w] = run_search(SearchSpec(**doc, workers=w))
+            counts.append(len(forks))
+        assert counts == [0, 1, 1], doc
+        assert len(reports[1].per_item) == 2
         assert [reports[w].stable_json()["workers"] for w in (1, 2, 8)] == [1, 2, 8]
         assert _stable(reports[8]) == _stable(reports[2]) == _stable(reports[1])
 
@@ -1156,7 +1154,106 @@ def test_no_context_outlives_its_run(monkeypatch):
                               subset_filter=_NONEMPTY, workers=workers))
     gc.collect()
     assert len(contexts) == 2 and all(ref() is None for ref in contexts)
-    assert search_mod._worker_ctx is None
+
+
+# theorem over Z2..Z8 is two items, so at workers=2 the parent runs item 0
+# and one forked child runs item 1
+_TWO_ITEMS = dict(family={"kind": "zmod_range", "lo": 2, "hi": 8}, checker="theorem",
+                  subset_filter=_NONEMPTY, workers=2)
+
+
+def _patch_item(monkeypatch, act):
+    """Make run_search call act(item) before running each item."""
+    real = search_mod._run_item
+
+    def run_item(ctx, item, work):
+        act(item)
+        return real(ctx, item, work)
+
+    monkeypatch.setattr(search_mod, "_run_item", run_item)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_dead_worker_fails_the_search_at_once(monkeypatch):
+    def act(item):
+        if item == 1:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    _patch_item(monkeypatch, act)
+    started = time.monotonic()
+    with pytest.raises(RuntimeError, match=r"search worker \d+ .*wait status 9\b"):
+        run_search(SearchSpec(**_TWO_ITEMS))
+    assert time.monotonic() - started < 5
+    _assert_no_child_left()
+
+
+def test_a_worker_exception_keeps_its_type(monkeypatch, capsys):
+    from cdlab.cli import main
+    from cdlab.errors import InvariantBroken
+
+    def act(item):
+        if item == 1:
+            raise InvariantBroken(f"item {item}")
+
+    _patch_item(monkeypatch, act)
+    with pytest.raises(InvariantBroken, match="item 1"):
+        run_search(SearchSpec(**_TWO_ITEMS))
+    _assert_no_child_left()
+    spec = json.dumps({k: v for k, v in _TWO_ITEMS.items() if k != "workers"})
+    assert main(["search", "--spec", spec, "--workers", "2"]) == 3
+    assert "item 1" in capsys.readouterr().err
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+def test_a_failing_parent_share_kills_its_workers(monkeypatch, error):
+    # the child's item would run for a minute; the parent's own item fails
+    def act(item):
+        if item == 1:
+            time.sleep(60)
+        raise error(f"item {item}")
+
+    _patch_item(monkeypatch, act)
+    started = time.monotonic()
+    with pytest.raises(error, match="item 0"):
+        run_search(SearchSpec(**_TWO_ITEMS))
+    assert time.monotonic() - started < 5
+    _assert_no_child_left()
+
+
+def test_violations_keep_item_order_across_workers(monkeypatch):
+    # with gamma at inf every subgroup pair fails udt; items of at least
+    # 1000 instances cut Z2..Z7 into many items, which one, two and three
+    # processes split into runs whose records come back through pipes
+    _gamma_at_inf(monkeypatch)
+    monkeypatch.setattr(search_mod, "_CHUNK_EXHAUSTIVE", 1000)
+    base = dict(family={"kind": "zmod_range", "lo": 2, "hi": 7}, checker="udt",
+                subset_filter=_NONEMPTY)
+    reports = [run_search(SearchSpec(**base, workers=w)) for w in (1, 2, 3)]
+    assert len(reports[0].per_item) > 3 and reports[0].violations
+    assert reports[0].violations == reports[1].violations == reports[2].violations
+    assert _stable(reports[0]) == _stable(reports[1]) == _stable(reports[2])
+    _assert_no_child_left()
+
+
+def test_import_cdlab_loads_neither_multiprocessing_nor_hashlib():
+    # both count in every search's setup time: workers are forked directly,
+    # and random mode alone loads the sampler and hashlib with it
+    src = str(Path(search_mod.__file__).resolve().parent.parent)
+    code = (
+        "import sys, cdlab; print(cdlab.__file__); "
+        "print([m for m in ('multiprocessing', 'hashlib') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    where, loaded = proc.stdout.splitlines()
+    assert Path(where).resolve().is_relative_to(src)
+    assert loaded == "[]"
 
 
 def _payloads(monkeypatch, spec):
