@@ -6,9 +6,9 @@ Python values (residues, index ints, tuples of ints, words, tuples of
 factor elements); they carry no back-reference to their ambient, so every
 operation takes the ambient explicitly.  All built-in kinds are immutable
 after construction and safe to share across workers.  What an ambient
-derives from itself (its description text and hash, its carrier, index map
-and index-addition table, a Cayley table's unit map) is a cached_property,
-computed on first read and kept with the ambient.
+derives from itself (its description text and hash, its carrier and index
+map, a Cayley table's unit map, a zmod product's mask translations) is a
+cached_property, computed on first read and kept with the ambient.
 
 Built-in kinds:
 
@@ -36,8 +36,9 @@ from .errors import (
 )
 from .extnat import INF
 
-# Finite ambients at or below this carrier size build an index-addition
-# table on demand so set arithmetic can run on bit masks.
+# The largest carrier of a non-zmod finite ambient whose sets are bit
+# masks, the largest cayley table, and the largest ambient given an order
+# table (gamma._order_levels).
 TABLE_CAP = 512
 
 
@@ -141,17 +142,6 @@ class Ambient:
 
     def index_of(self, x) -> int:
         return self._index[x]
-
-    @cached_property
-    def _table(self) -> list:
-        elems = self.carrier()
-        idx = self.index_of
-        return [[idx(self.add(a, b)) for b in elems] for a in elems]
-
-    def index_table(self):
-        """Addition on carrier indices, built on first use; callers ask for
-        it only over finite carriers of at most TABLE_CAP elements."""
-        return self._table
 
     # -- analytic order rules ---------------------------------------------
 
@@ -372,9 +362,6 @@ class Cayley(Ambient):
 
     def index_of(self, x):
         return x
-
-    def index_table(self):
-        return self.table
 
 
 class IntLattice(Ambient):

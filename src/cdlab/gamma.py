@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .ambient import TABLE_CAP, ZMod
+from .ambient import TABLE_CAP
 from .errors import (
     AmbientMismatch,
     EmptySet,
@@ -94,23 +94,18 @@ def _order_levels(a) -> tuple:
     L_o and x_i to the identity, so rows[i] holds the x != x_i of each
     order ord(x - x_i), over a non-abelian table as well (L_o is closed
     under conjugation, so its left and right translates by a unit are
-    equal).  The cap is the index table's: building enumerates every
-    orbit, about n^2 adds over Z_n, and the rows translate each level once
-    per element (a rotation over zmod)."""
+    equal).  The cap bounds the build: it enumerates every orbit, about
+    n^2 adds over Z_n, and the rows translate each level once per element
+    with `_raw_sumset`."""
     carrier = a.carrier()
     levels = {}
     for i, x in enumerate(carrier):
         o = ord_elem(a, x)
         levels[o] = levels.get(o, 0) | (1 << i)
     levels = tuple(sorted(levels.items()))
-    if type(a) is ZMod:
-        n, full = a.n, (1 << a.n) - 1
-        images = [[(L << i | L >> (n - i)) & full for _, L in levels] for i in range(n)]
-    else:
-        images = [[_raw_sumset(a, L, (x,)) for _, L in levels] for x in carrier]
     rows = tuple(
-        tuple([(o, r) for (o, _), t in zip(levels, ts) if (r := t & ~(1 << i))])
-        for i, ts in enumerate(images)
+        tuple([(o, r) for o, L in levels if (r := _raw_sumset(a, L, (x,)) & ~(1 << i))])
+        for i, x in enumerate(carrier)
     )
     return levels, rows
 

@@ -658,7 +658,8 @@ class SearchReport:
         return doc
 
     def stable_json(self) -> dict:
-        """Everything except timing; equal across reruns and worker counts."""
+        """Everything except timing.  Equal across reruns; across worker
+        counts everything but `workers`, here and in `spec`, is equal."""
         return {
             "spec": self.spec,
             "instances_checked": self.instances_checked,

@@ -3,10 +3,10 @@
 FinSet is an immutable, canonically ordered set of elements of one ambient
 that carries its raw set, chosen once when the set is built.  For zmod and
 for finite ambients of at most TABLE_CAP elements a raw set is the
-bit-vector over the carrier, and sumsets run on masks: an OR of shifted
-masks for zmod and for products of zmod factors (two masked shifts per
-factor a translate moves), index-table lookups for the other finite
-ambients.  Other ambients use frozensets of elements.
+bit-vector over the carrier; other ambients use frozensets of elements.
+Sumsets over zmod and over products of zmod factors run on masks, an OR of
+shifted masks (two masked shifts per factor a translate moves); every
+other sumset adds its elements pair by pair.
 Difference sets scan the carrier of a finite ambient, which is exact
 without cancellativity, and divide pair by pair over an infinite one.
 
@@ -198,33 +198,26 @@ def _zmod_sumset_mask(mx: int, ys, n: int) -> int:
 def _raw_sumset(a: Ambient, r, ys):
     """X + Y as a raw set, from X's raw set r and Y's elements.  Over zmod
     and over products of zmod factors it ORs the translates of the mask r
-    (Product._steps), stopping once the result is full; other mask-form
-    ambients read the index table."""
-    if type(r) is not int:
-        add = a.add
-        return frozenset([add(x, y) for x in r for y in ys])
-    if type(a) is ZMod:
-        return _zmod_sumset_mask(r, ys, a.n)
-    steps = a._steps if type(a) is Product else None
-    if steps is not None:
-        full = (1 << a.carrier_size) - 1
-        acc = 0
-        for y in ys:
-            m = r
-            for up, hi, down, lo in steps[y]:
-                m = (m << up) & hi | (m >> down) & lo
-            acc |= m
-            if acc == full:
-                break
-        return acc
-    tbl = a.index_table()
-    acc = 0
-    ybits = [a.index_of(y) for y in ys]
-    for xi in _bits(r):
-        row = tbl[xi]
-        for yi in ybits:
-            acc |= 1 << row[yi]
-    return acc
+    (Product._steps), stopping once the result is full; every other raw
+    set is decoded and added pair by pair."""
+    if type(r) is int:
+        if type(a) is ZMod:
+            return _zmod_sumset_mask(r, ys, a.n)
+        steps = a._steps if type(a) is Product else None
+        if steps is not None:
+            full = (1 << a.carrier_size) - 1
+            acc = 0
+            for y in ys:
+                m = r
+                for up, hi, down, lo in steps[y]:
+                    m = (m << up) & hi | (m >> down) & lo
+                acc |= m
+                if acc == full:
+                    break
+            return acc
+        r = _elements(a, r)
+    add = a.add
+    return _raw_of(a, [add(x, y) for x in r for y in ys])
 
 
 def _raw_size(r) -> int:

@@ -50,10 +50,48 @@ def test_summary_reads_medians_quartiles_and_wins(tmp_path):
     assert rate["pairs"] == 5 and rate["change_better_pairs"] == 4
     assert rate["change_over_parent"] == 1.55 and rate["bound"] == 0.15
     assert rate["gap_beyond_parent_iqr"] is True
+    assert rate["within_bound"] is True and rate["unresolved"] is False
     # lower is better: the change won the three pairs where it was faster
     setup = doc["end_to_end"]["w"]["setup_s"]
     assert setup["change_better_pairs"] == 3 and setup["better"] == "lower"
     assert setup["gap_beyond_parent_iqr"] is True  # 0.01 below an IQR of 0
+
+
+def _verdict(parent, change, setup=(0.1, 0.1)):
+    """The inst_per_s and setup_s summaries of pairs of these rates."""
+    runs = []
+    for pair, (p, c) in enumerate(zip(parent, change), 1):
+        runs += [_run("parent", pair, p, setup[0]), _run("change", pair, c, setup[1])]
+    doc = bench_pairs.summarize(runs, METRICS)["end_to_end"]["w"]
+    return doc["inst_per_s"], doc["setup_s"]
+
+
+def test_verdict_inside_the_bound():
+    # 10% slower against a bound of 15%, over a tight parent
+    rate, setup = _verdict([99, 100, 100, 100, 101], [89, 90, 90, 90, 91])
+    assert rate["change_better_pairs"] == 0
+    assert rate["within_bound"] is True and rate["unresolved"] is False
+    # equal setups: no worse at all
+    assert setup["within_bound"] is True and setup["unresolved"] is False
+
+
+def test_verdict_outside_the_bound():
+    # 20% slower in rate and 50% slower in setup, against 15% and 25%
+    rate, setup = _verdict([99, 100, 100, 100, 101], [79, 80, 80, 80, 81], (0.02, 0.03))
+    assert rate["within_bound"] is False and rate["unresolved"] is False
+    assert setup["within_bound"] is False and setup["unresolved"] is False
+
+
+def test_verdict_unresolved_when_the_parent_spreads_past_the_bound():
+    # the parent's quartiles 70 and 130 spread 60% of its median 100
+    parent = [60, 100, 140, 80, 120]
+    rate, _ = _verdict(parent, [110, 100, 150, 90, 120])
+    assert rate["parent"]["iqr_over_median"] == 0.6
+    assert rate["within_bound"] is True and rate["unresolved"] is True
+    # a change whose every run beats every parent run is resolved however
+    # wide the parent spreads
+    rate, _ = _verdict(parent, [150, 160, 170, 180, 190])
+    assert rate["within_bound"] is True and rate["unresolved"] is False
 
 
 def test_summary_skips_a_pair_missing_one_side(tmp_path):

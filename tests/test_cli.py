@@ -225,6 +225,20 @@ def _spec(**fields):
         ("gamma", "--ambient", Z6, "--x", "[0,2]", "--out", ""),
         ("sumset", "--ambient", Z6, "--x", "[0]", "--y", "[1]", "--n", "5"),
         ("sumset", "--ambient", Z6, "--x", "[0]", "--y", "[1]", "--n", "1"),
+        # elements of the wrong shape or out of range, and tables,
+        # instances and set lists with nothing in them
+        ("gamma", "--ambient", '{"kind":"product","factors":[{"kind":"zmod","n":2}]}',
+         "--x", "[0]"),
+        ("gamma", "--ambient", '{"kind":"int_lattice","dim":1}', "--x", "[0]"),
+        ("gamma", "--ambient", '{"kind":"cayley","table":[]}', "--x", "[0]"),
+        ("gamma", "--ambient", '{"kind":"cayley","table":[[0]]}', "--x", "[1]"),
+        ("replay", "--instance", json.dumps(
+            {"ambient": {"kind": "zmod", "n": 3}, "checker": "udt", "sets": []}
+        )),
+        ("gamma", "--ambient", Z6, "--sets", "[]"),
+        ("check", "--which", "conjecture", "--ambient", Z6, "--sets", "[]"),
+        # a budget below |X|
+        ("generated", "--ambient", Z6, "--x", "[0,1,2]", "--budget", "2"),
     ],
 )
 def test_malformed_field_types_exit_2(capsys, argv):

@@ -9,6 +9,7 @@ from cdlab import (
     INF,
     center,
     difference,
+    enumerate_abelian_groups,
     generated,
     generated_sym,
     is_commutative_generated,
@@ -245,6 +246,28 @@ def test_ord_matches_formula():
         for _ in range(200):
             x = a.carrier()[rng.randrange(a.carrier_size)]
             assert ord_elem(a, x) == oracles.formula_ord(a, x)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: difference("up", FinSet(Z6, [0]), FinSet(Z6, [1])), ValueError),
+        (lambda: center(FinSet(NAT, [(1,)])), ValueError),
+        (lambda: enumerate_abelian_groups(0), ValueError),
+        (lambda: IntLattice(1).carrier(), ValueError),
+        (lambda: FinSet(_product(2, 3), [(0,)]), ElementAmbientMismatch),
+    ],
+    ids=[
+        "difference-side",
+        "center-without-candidates",
+        "no-groups",
+        "infinite-carrier",
+        "short-product-tuple",
+    ],
+)
+def test_rejected_library_calls_raise(call, error):
+    with pytest.raises(error):
+        call()
 
 
 def test_center_examples():
@@ -599,9 +622,25 @@ def _oracle_mask(a, elems):
     ids=["Z2xZ2", "Z2xZ4", "Z4xZ2", "Z2xZ2xZ2", "Z3xZ3"],
 )
 def test_product_kernel_matches_the_naive_sumset_on_every_pair(a):
-    # X + Y is the union of x + Y over x in X, each x + Y from the naive
-    # double loop; the kernel translates masks factor by factor
+    # the kernel translates masks factor by factor
     assert a._steps is not None
+    _assert_every_pair_matches_the_naive_sumset(a)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [fixtures.s3(), fixtures.d4(), fixtures.q8(), fixtures.left_zero_band(3)],
+    ids=["S3", "D4", "Q8", "left_zero_band3"],
+)
+def test_element_loop_matches_the_naive_sumset_on_every_pair(a):
+    # cayley masks are decoded and added pair by pair
+    assert type(FinSet.from_mask(a, 1).raw) is int
+    _assert_every_pair_matches_the_naive_sumset(a)
+
+
+def _assert_every_pair_matches_the_naive_sumset(a):
+    # X + Y is the union of x + Y over x in X, each x + Y from the naive
+    # double loop
     carrier = a.carrier()
     size = 1 << len(carrier)
     for my in range(size):
@@ -626,8 +665,8 @@ def test_product_kernel_matches_the_naive_sumset_on_every_pair(a):
     ids=["Z2xZ6", "Z2xZ3xZ2", "Z2^9", "S3xZ2"],
 )
 def test_product_kernel_matches_the_naive_sumset_on_seeded_pairs(a):
-    # Z2^9 sits at the table cap; S3 x Z2 has a non-zmod factor and stays
-    # on the index table.  Densities from sparse to full reach both the
+    # Z2^9 sits at the table cap; S3 x Z2 has a non-zmod factor and goes
+    # through the element loop.  Densities from sparse to full reach both the
     # early exit on a full result and the sums that stop short of it
     assert (a._steps is None) == (a.factors[0].kind == "cayley")
     assert type(FinSet.from_mask(a, 1).raw) is int

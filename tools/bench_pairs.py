@@ -19,7 +19,12 @@ BENCHMARK.json.  For each workload and metric it holds every run, by pair,
 each side's median and quartiles, the change's median over the parent's,
 the metric's bound, and how many pairs the change won (better in the
 metric's direction), and whether the gap between the medians is larger
-than the parent's interquartile range.
+than the parent's interquartile range.  Two fields give the no-regression
+verdict: `within_bound` holds when the change's median is no worse than
+the parent's by more than the bound (a fraction of the parent's median),
+and `unresolved` when the parent's interquartile range over its median
+exceeds the bound while some change run fails to beat some parent run,
+so the runs spread too widely to tell.
 """
 
 import argparse
@@ -101,17 +106,24 @@ def summarize(runs: list, metrics: list) -> dict:
             if not both:
                 continue
             higher = spec["better"] == "higher"
-            parent, change = _stats([p for p, _ in both]), _stats([c for _, c in both])
-            gap = change["median"] - parent["median"]
+            ps, cs = [p for p, _ in both], [c for _, c in both]
+            parent, change = _stats(ps), _stats(cs)
+            # how far the change's median trails the parent's; below 0 when ahead
+            worse = (parent["median"] - change["median"]) * (1 if higher else -1)
+            bound = spec.get("bound")
+            spread = parent["iqr_over_median"]
+            beats_all = min(cs) > max(ps) if higher else max(cs) < min(ps)
             end_to_end[wl][name] = {
                 "parent": parent,
                 "change": change,
                 "change_over_parent": change["median"] / parent["median"] if parent["median"] else None,
                 "better": spec["better"],
-                "bound": spec.get("bound"),
+                "bound": bound,
                 "pairs": len(both),
                 "change_better_pairs": sum((c > p) if higher else (c < p) for p, c in both),
-                "gap_beyond_parent_iqr": (gap if higher else -gap) > parent["q3"] - parent["q1"],
+                "gap_beyond_parent_iqr": -worse > parent["q3"] - parent["q1"],
+                "within_bound": None if bound is None else worse <= bound * parent["median"],
+                "unresolved": None not in (bound, spread) and spread > bound and not beats_all,
                 "runs": values,
             }
     return {
