@@ -5,10 +5,14 @@ operation and a report of the axioms it satisfies.  Elements are plain
 Python values (residues, index ints, tuples of ints, words, tuples of
 factor elements); they carry no back-reference to their ambient, so every
 operation takes the ambient explicitly.  All built-in kinds are immutable
-after construction and safe to share across workers.  What an ambient
-derives from itself (its description text and hash, its carrier and index
-map, a Cayley table's unit map, a zmod product's mask translations) is a
-cached_property, computed on first read and kept with the ambient.
+after construction and safe to share across workers.  Ambients are
+interned: constructing one returns the live ambient of the same class and
+description when there is one, and a pickle or copy comes back as that
+object too, so ambients are equal exactly when they are the same object
+and every memo keyed on one hashes it by identity.  What an ambient
+derives from itself (its carrier and index map, a Cayley table's unit
+map, a product's all_units and mask translations) is a cached_property,
+computed on first read and kept with the ambient.
 
 Built-in kinds:
 
@@ -23,6 +27,7 @@ Built-in kinds:
 
 import json
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as _cartesian
@@ -55,7 +60,20 @@ class AxiomReport:
     finite_order: Optional[int]  # carrier size when finite, else None
 
 
-class Ambient:
+# the live ambients, by (class, description text)
+_LIVE = weakref.WeakValueDictionary()
+
+
+class _Interned(type):
+    """Construction returns the live ambient registered under the new
+    one's class and description, or registers the new one."""
+
+    def __call__(cls, *args, **kwargs):
+        a = super().__call__(*args, **kwargs)
+        return _LIVE.setdefault((cls, a._ckey), a)
+
+
+class Ambient(metaclass=_Interned):
     """Base class; concrete kinds set `axioms` at construction and
     implement the element arithmetic."""
 
@@ -69,21 +87,12 @@ class Ambient:
 
     @cached_property
     def _ckey(self) -> str:
-        """The canonical description text: two ambients are equal, and hash
-        alike, exactly when their descriptions are."""
+        """The canonical description text: two ambients are one object
+        exactly when their classes and descriptions are equal."""
         return json.dumps(self.describe(), sort_keys=True)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self._ckey)
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, Ambient) and self._ckey == other._ckey
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return make_ambient, (self.describe(),)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.describe()})"
@@ -562,7 +571,7 @@ class Product(Ambient):
             out.append(w)
         return tuple(out)
 
-    @property
+    @cached_property
     def all_units(self):
         return all(f.all_units for f in self.factors)
 

@@ -10,9 +10,11 @@ Orders are read, not walked, once known: a mask-form ambient of at most
 TABLE_CAP elements has one order table, built from ord_elem on the first
 constant asked of it, which also holds, for each element x0, the masks of
 the x with ord(x - x0) = o, so the inner infimum is a few mask tests with
-no inverse and no sumset.  Every other ambient, infinite ones included,
-memoizes ord_elem per element.  Constants are memoized per ambient and
-raw set, so a caller holding only a mask reads one without decoding it.
+no inverse and no sumset; over a group a constant reads those rows by the
+carrier index of each set bit and builds no set.  Every other ambient,
+infinite ones included, memoizes ord_elem per element.  Constants are
+memoized per ambient and raw set, so a caller holding only a mask reads
+one without decoding it.
 
 An invariant transform replaces (X, Y) by (X + y0, -y0 + Y) for a unit
 y0 of Y.  It preserves |X + Y|, both set sizes, and both constants; those
@@ -69,7 +71,30 @@ def gamma_set(X: FinSet) -> GammaValue:
 @lru_cache(maxsize=MEMO_SIZE)
 def _gamma(a, raw) -> GammaValue:
     """gamma_set of the set with raw set `raw` over `a`: the one memo of
-    constants, keyed on the raw set so that a lookup decodes nothing."""
+    constants, keyed on the raw set so that a lookup decodes nothing.
+    Over a group with an order table a miss decodes nothing either: it
+    walks the set bits of the mask, each a unit, and reads the order row
+    of that carrier index."""
+    if type(raw) is int and a.all_units and a.carrier_size <= TABLE_CAP:
+        if not raw & (raw - 1):
+            return GammaValue(raw.bit_count(), None)
+        rows = _order_levels(a)[1]
+        best: ExtNat = 0
+        wit = None
+        m = raw
+        while m:
+            low = m & -m
+            i = low.bit_length() - 1
+            m ^= low
+            for o, row in rows[i]:
+                if raw & row:
+                    break
+            else:
+                o = INF
+            if o > best:
+                best = o
+                wit = i
+        return GammaValue(best, a.carrier()[wit])
     X = FinSet._of(a, raw)
     if len(X.elements) <= 1:
         return GammaValue(len(X.elements), None)
@@ -150,7 +175,7 @@ def gamma_tuple(Xs) -> ExtNat:
     empty = False
     for X in Xs:
         a = X.ambient
-        if a is not first and a != first:
+        if a is not first:
             raise AmbientMismatch("tuple components live in different ambients")
         if not X.raw:
             empty = True

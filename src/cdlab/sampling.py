@@ -37,23 +37,27 @@ class TrialBits:
         self.block = 1
         self.left = 512
 
+    def take(self, k: int) -> int:
+        """The next k bits of the stream, a uniform integer in [0, 2^k):
+        every draw of a trial, ambient index and masks, reads them here."""
+        if self.left < k:
+            data = bytearray()
+            for b in range(self.block, self.block + (k - self.left + 511) // 512):
+                data += hashlib.blake2b(b"%s%d" % (self.key, b)).digest()
+            self.block = b + 1
+            self.bits |= int.from_bytes(data, "little") << self.left
+            self.left += 8 * len(data)
+        r = self.bits & ((1 << k) - 1)
+        self.bits >>= k
+        self.left -= k
+        return r
+
     def below(self, n: int) -> int:
         """A uniform integer in [0, n), by rejection on (n - 1).bit_length()
-        bits: every draw of a trial, ambient index and masks, comes from
-        here."""
+        bits."""
         k = (n - 1).bit_length()
-        low = (1 << k) - 1
         while True:
-            if self.left < k:
-                data = bytearray()
-                for b in range(self.block, self.block + (k - self.left + 511) // 512):
-                    data += hashlib.blake2b(b"%s%d" % (self.key, b)).digest()
-                self.block = b + 1
-                self.bits |= int.from_bytes(data, "little") << self.left
-                self.left += 8 * len(data)
-            r = self.bits & low
-            self.bits >>= k
-            self.left -= k
+            r = self.take(k)
             if r < n:
                 return r
 
@@ -108,9 +112,9 @@ def draw_mask(bits: TrialBits, d: Draw) -> int:
     """One mask drawn from the trial's stream, uniform over the masks the
     draw's filter admits before its commutative_generated test."""
     if d.sizes is None:
-        r = bits.below(1 << d.m)
+        r = bits.take(d.m)
         while d.nonempty and not r:
-            r = bits.below(1 << d.m)
+            r = bits.take(d.m)
     else:
         t = d.nonempty + bisect.bisect_right(d.sizes, bits.below(d.sizes[-1]))
         # Floyd's sampling of a uniform t-subset of range(m)
@@ -140,9 +144,9 @@ def sample_instance(ctx, index: int):
     for slot, d in enumerate(draws):
         if d.sizes is None and d.forced is None and not d.generated:
             # the common draw, draw_mask's first branch without the call
-            mask = bits.below(1 << d.m)
+            mask = bits.take(d.m)
             while not mask and d.nonempty:
-                mask = bits.below(1 << d.m)
+                mask = bits.take(d.m)
         elif d.generated:
             # the filter's own test decodes the set
             for _ in range(100000):

@@ -135,7 +135,7 @@ class FinSet:
         return (
             isinstance(other, FinSet)
             and self.raw == other.raw
-            and self.ambient == other.ambient
+            and self.ambient is other.ambient
         )
 
     def __hash__(self):
@@ -173,7 +173,7 @@ class GenResult:
 
 
 def _same_ambient(X: FinSet, Y: FinSet):
-    if X.ambient is not Y.ambient and X.ambient != Y.ambient:
+    if X.ambient is not Y.ambient:
         raise AmbientMismatch("operands live in different ambients")
 
 
@@ -354,12 +354,22 @@ def difference(side: str, X: FinSet, Y: FinSet) -> FinSet:
         n = a.n
         neg = [(n - y) % n for y in Y.elements]
         return FinSet._of(a, _zmod_sumset_mask(rx, neg, n))
-    # carrier scan: exact for non-cancellative ambients as well
-    if side == "right":
-        ys = Y.elements
-        hits = [z for z in a.carrier() if rx & _raw_sumset(a, _raw_of(a, (z,)), ys)]
+    # carrier scan, z kept when some z + y (right) or y + z (left) is in X:
+    # exact for non-cancellative ambients as well
+    if type(rx) is int:
+        idx = a.index_of
+
+        def hit(w):
+            return rx >> idx(w) & 1
+
     else:
-        hits = [z for z in a.carrier() if rx & _raw_sumset(a, Y.raw, (z,))]
+        hit = rx.__contains__
+    add = a.add
+    ys = Y.elements
+    if side == "right":
+        hits = [z for z in a.carrier() if any(hit(add(z, y)) for y in ys)]
+    else:
+        hits = [z for z in a.carrier() if any(hit(add(y, z)) for y in ys)]
     return FinSet._of(a, _raw_of(a, hits))
 
 

@@ -202,3 +202,34 @@ def test_random_search_builds_no_index_table_over_zmod_products(monkeypatch):
     assert len(products) == 4
     for a in products:
         assert a._steps is not None
+
+
+def test_every_kind_hashes_by_identity():
+    # ambients are interned, so each memo lookup hashes its ambient in C
+    kinds = AMBIENTS + WARM_AMBIENTS + [
+        make_ambient({"kind": "int_lattice", "dim": 2}),
+        make_ambient({"kind": "nat_lattice", "dim": 1}),
+        make_ambient({"kind": "free_monoid", "alphabet": ["a"]}),
+    ]
+    assert {a.kind for a in kinds} == {
+        "zmod", "product", "cayley", "int_lattice", "nat_lattice", "free_monoid"
+    }
+    for a in kinds:
+        assert type(a).__hash__ is object.__hash__ and type(a).__eq__ is object.__eq__
+
+
+def test_a_second_random_search_misses_no_memo():
+    # criterion 8's random spec, shortened to stay inside each memo: the
+    # second run builds its ambients again and gets the same objects back
+    spec = SearchSpec(
+        family={"kind": "abelian_up_to_order", "max_order": 10},
+        checker="conjecture",
+        n_summands=3,
+        subset_filter={"nonempty": True},
+        mode={"kind": "random", "seed": 2014, "trials": 2000},
+    )
+    first = run_search(spec)
+    misses = [memo.cache_info().misses for memo in (search._decode, gamma._gamma)]
+    second = run_search(spec)
+    assert [memo.cache_info().misses for memo in (search._decode, gamma._gamma)] == misses
+    assert second.stable_json() == first.stable_json()
